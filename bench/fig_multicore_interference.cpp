@@ -20,10 +20,10 @@
 //
 // Each row additionally replays the run's trace through the interference
 // oracle with contention folded into Eq. 14 (non-zero exit on violation).
-// Rows are independent simulations sharded over --jobs threads; row seeds
+// Rows are independent simulations sharded over --jobs workers; row seeds
 // are fixed, so output is bit-identical for any job count.
 //
-// usage: fig_multicore_interference [--jobs N]
+// usage: fig_multicore_interference [--jobs N] [--chunk N]
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -31,8 +31,8 @@
 
 #include "core/multicore_system.hpp"
 #include "core/system_config.hpp"
+#include "exp/batch_runner.hpp"
 #include "exp/cli.hpp"
-#include "exp/sweep_runner.hpp"
 #include "fault/oracle.hpp"
 #include "stats/table.hpp"
 #include "workload/generators.hpp"
@@ -147,7 +147,7 @@ std::vector<std::string> row(const std::string& label, const RowOut& r) {
 
 int main(int argc, char** argv) {
   const auto cli = exp::parse_cli(argc, argv);
-  exp::SweepRunner runner(cli.jobs);
+  exp::BatchRunner runner(exp::BatchOptions{.jobs = cli.jobs, .chunk = cli.chunk});
   std::uint64_t violations = 0;
   const std::vector<std::string> header = {"config",   "avg [us]",  "p99 [us]",
                                            "max [us]", "stall [us]",

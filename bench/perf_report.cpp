@@ -31,7 +31,6 @@
 #include "core/hypervisor_system.hpp"
 #include "core/multicore_system.hpp"
 #include "exp/batch_runner.hpp"
-#include "exp/sweep_runner.hpp"
 #include "exp/system_pool.hpp"
 #include "mon/monitor.hpp"
 #include "obs/trace_ring.hpp"
@@ -317,10 +316,11 @@ void trace_overhead_enabled_batch(benchmark::State& state) {
 // The fig6b-shaped campaign shared by batch/runs_per_sec and
 // sweep/runs_per_sec: the monitored paper baseline with short runs (3
 // exponential IRQs at the 10% load shape) whose per-run inputs depend only
-// on the run index. Both engines execute the identical per-run body and
-// return a cheap scalar, so the pair isolates engine overhead -- system
-// construction per run (sweep) vs snapshot warm-start recycling (batch) --
-// rather than result-capture cost.
+// on the run index. Both rows run the identical per-run body on the same
+// BatchRunner and return a cheap scalar, so the pair isolates the recycle
+// cost -- system construction per run (sweep, the pool-less map) vs
+// snapshot warm-start recycling (batch, the pooled map) -- rather than
+// engine or result-capture overhead.
 
 core::SystemConfig batch_campaign_config() {
   auto cfg = core::SystemConfig::paper_baseline();
@@ -343,7 +343,7 @@ std::uint64_t batch_campaign_run(std::size_t i, core::HypervisorSystem& system) 
 // snapshot. This is the per-run fixed cost of the batched engine, the
 // number that replaces full system construction (~microseconds) on every
 // run after the first.
-void batch_warm_start(benchmark::State& state) {
+void batch_recycle(benchmark::State& state) {
   exp::SystemPool pool(batch_campaign_config());
   auto lease = pool.acquire();
   for (auto _ : state) {
@@ -370,15 +370,16 @@ void batch_runs_per_sec(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(runs));
 }
 
-// The same campaign on the classic construct-per-run SweepRunner: the
-// reference the batched engine is gated against (see compare_against).
+// The same campaign with cold construction per run through the pool-less
+// map: the reference the pooled warm start is gated against (see
+// compare_against).
 void sweep_runs_per_sec(benchmark::State& state) {
   constexpr std::size_t kRuns = 1000;
   const auto cfg = batch_campaign_config();
   std::uint64_t irqs = 0;
   std::uint64_t runs = 0;
   for (auto _ : state) {
-    exp::SweepRunner runner(1);
+    exp::BatchRunner runner(exp::BatchOptions{.jobs = 1, .chunk = 16});
     const auto done = runner.map(kRuns, [&cfg](std::size_t i) {
       core::HypervisorSystem system(cfg);
       return batch_campaign_run(i, system);
@@ -618,7 +619,7 @@ void write_delta_summary(std::FILE* out, const std::vector<Delta>& deltas) {
 /// Compares fresh results against a committed baseline. Fails (exit 1) if
 /// any baseline benchmark is missing from this run or slowed down by more
 /// than 10%, or if the batched campaign engine no longer clears its 5x
-/// speedup over the classic sweep (batch/runs_per_sec vs sweep/runs_per_sec).
+/// speedup over cold construction (batch/runs_per_sec vs sweep/runs_per_sec).
 /// Benchmarks present in this run but absent from the baseline never gate:
 /// they are listed as "new benchmark (no baseline)" so a PR can add probes
 /// without immediately updating the committed JSON. A small absolute slack
@@ -673,15 +674,16 @@ int compare_against(const std::string& baseline_path,
     }
   }
 
-  // The batched-campaign acceptance gate: pooled warm-start + work stealing
-  // must keep a >= 5x runs/sec advantage over the construct-per-run sweep.
+  // The batched-campaign acceptance gate: pooled warm start must keep a
+  // >= 5x runs/sec advantage over cold construction per run on the same
+  // engine.
   const auto batch_it = results.find("batch/runs_per_sec");
   const auto sweep_it = results.find("sweep/runs_per_sec");
   if (batch_it != results.end() && sweep_it != results.end() &&
       batch_it->second.ns_per_op > 0.0) {
     const double speedup = sweep_it->second.ns_per_op / batch_it->second.ns_per_op;
     const bool ok = speedup >= 5.0;
-    std::printf("batched campaign speedup over SweepRunner: %.2fx%s\n", speedup,
+    std::printf("batched campaign speedup over cold construction: %.2fx%s\n", speedup,
                 ok ? "" : "  FAIL (< 5x)");
     if (!ok) ++failures;
   }
@@ -737,7 +739,7 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("obs/trace_overhead_enabled_ns", trace_overhead_enabled);
   benchmark::RegisterBenchmark("obs/trace_overhead_enabled_batch16_ns",
                                trace_overhead_enabled_batch);
-  benchmark::RegisterBenchmark("batch/warm_start_ns", batch_warm_start);
+  benchmark::RegisterBenchmark("batch/warm_start_ns", batch_recycle);
   benchmark::RegisterBenchmark("batch/runs_per_sec", batch_runs_per_sec)
       ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("sweep/runs_per_sec", sweep_runs_per_sec)

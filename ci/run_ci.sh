@@ -44,10 +44,13 @@ ctest --test-dir build-ci --output-on-failure -L multicore -j "$jobs"
 echo "== adversarial hunt (ctest -L hunt) =="
 ctest --test-dir build-ci --output-on-failure -L hunt -j "$jobs"
 
-# Batched campaign engine: the warm-start differential (pooled recycle vs
-# cold construction must be bit-identical), jobs/chunk identity under work
-# stealing, and the batched trace-ring reservation accounting.
-echo "== batched campaign engine (ctest -L batch) =="
+# Campaign engine: the BatchRunner contract on both entry points, the
+# warm-start differential (pooled recycle vs cold construction must be
+# bit-identical, fault plans included), jobs/chunk identity under work
+# stealing, the batched trace-ring reservation accounting, and the
+# rthv_batch CLI (byte-identical --jobs 1 vs --jobs 4 --chunk 3 metrics,
+# exit 2 on malformed --jobs/--chunk).
+echo "== campaign engine (ctest -L batch) =="
 ctest --test-dir build-ci --output-on-failure -L batch -j "$jobs"
 
 # Benchmarks must at least run: second-scale smoke invocations of both

@@ -2,9 +2,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <string_view>
+#include <limits>
 
-#include "exp/thread_pool.hpp"
+#include "exp/batch_runner.hpp"
 
 namespace rthv::exp {
 
@@ -13,34 +13,36 @@ namespace {
 [[noreturn]] void usage_error(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--jobs N|auto] [--trace-out PATH] [--metrics-out PATH] "
-               "[--fault-plan PATH] [--batch] [--no-warm-start] [--chunk N] "
-               "[positional args...]\n",
+               "[--fault-plan PATH] [--chunk N] [positional args...]\n",
                argv0);
   std::exit(2);
 }
 
-std::size_t parse_jobs_value(std::string_view value, const char* argv0) {
-  if (value == "auto") return ThreadPool::hardware_jobs();
-  std::size_t jobs = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') usage_error(argv0);
-    jobs = jobs * 10 + static_cast<std::size_t>(c - '0');
-  }
-  if (value.empty() || jobs == 0) usage_error(argv0);
-  return jobs;
-}
-
-std::size_t parse_count_value(std::string_view value, const char* argv0) {
-  std::size_t n = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9') usage_error(argv0);
-    n = n * 10 + static_cast<std::size_t>(c - '0');
-  }
-  if (value.empty() || n == 0) usage_error(argv0);
-  return n;
+std::size_t require(std::optional<std::size_t> value, const char* argv0) {
+  if (!value) usage_error(argv0);
+  return *value;
 }
 
 }  // namespace
+
+std::optional<std::size_t> parse_count(std::string_view value) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  if (value.empty()) return std::nullopt;
+  std::size_t n = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (n > (kMax - digit) / 10) return std::nullopt;  // n * 10 + digit overflows
+    n = n * 10 + digit;
+  }
+  if (n == 0) return std::nullopt;
+  return n;
+}
+
+std::optional<std::size_t> parse_jobs(std::string_view value) {
+  if (value == "auto") return hardware_jobs();
+  return parse_count(value);
+}
 
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions options;
@@ -48,9 +50,9 @@ CliOptions parse_cli(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg == "--jobs") {
       if (i + 1 >= argc) usage_error(argv[0]);
-      options.jobs = parse_jobs_value(argv[++i], argv[0]);
+      options.jobs = require(parse_jobs(argv[++i]), argv[0]);
     } else if (arg.starts_with("--jobs=")) {
-      options.jobs = parse_jobs_value(arg.substr(7), argv[0]);
+      options.jobs = require(parse_jobs(arg.substr(7)), argv[0]);
     } else if (arg == "--trace-out") {
       if (i + 1 >= argc) usage_error(argv[0]);
       options.trace_out = argv[++i];
@@ -66,16 +68,11 @@ CliOptions parse_cli(int argc, char** argv) {
       options.fault_plan = argv[++i];
     } else if (arg.starts_with("--fault-plan=")) {
       options.fault_plan = arg.substr(13);
-    } else if (arg == "--batch") {
-      options.batch = true;
-    } else if (arg == "--no-warm-start") {
-      options.batch = true;
-      options.warm_start = false;
     } else if (arg == "--chunk") {
       if (i + 1 >= argc) usage_error(argv[0]);
-      options.chunk = parse_count_value(argv[++i], argv[0]);
+      options.chunk = require(parse_count(argv[++i]), argv[0]);
     } else if (arg.starts_with("--chunk=")) {
-      options.chunk = parse_count_value(arg.substr(8), argv[0]);
+      options.chunk = require(parse_count(arg.substr(8)), argv[0]);
     } else {
       options.positional.emplace_back(arg);
     }

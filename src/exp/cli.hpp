@@ -4,16 +4,16 @@
 // concurrency), `--trace-out PATH` (Chrome trace-event JSON, Perfetto
 // loadable), `--metrics-out PATH` (metrics JSON; `.txt` suffix selects the
 // text dump), `--fault-plan PATH` (fault-injection plan, see
-// src/fault/fault_plan.hpp), and the batched-campaign switches `--batch`
-// (run the sweep through BatchRunner/SystemPool), `--no-warm-start`
-// (pool rebuilds instead of snapshot-restoring; implies --batch) and
-// `--chunk N` (run indices per work-stealing chunk); everything else is
+// src/fault/fault_plan.hpp) and `--chunk N` (largest number of run indices
+// per work-stealing chunk, see exp/batch_runner.hpp); everything else is
 // returned as positional arguments in order. Keeps the drivers' existing
 // positional interfaces (e.g. an export directory) intact.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rthv::exp {
@@ -23,14 +23,19 @@ struct CliOptions {
   std::string trace_out;    // empty = tracing off
   std::string metrics_out;  // empty = no metrics dump
   std::string fault_plan;   // empty = no fault injection
-  bool batch = false;       // route the sweep through BatchRunner/SystemPool
-  bool warm_start = true;   // --no-warm-start: pool rebuilds per run
   std::size_t chunk = 16;   // work-stealing chunk size (run indices)
   std::vector<std::string> positional;
 };
 
 /// Parses argv (past argv[0]). Exits with code 2 and a usage message on
-/// stderr for a malformed --jobs value.
+/// stderr for a malformed --jobs or --chunk value.
 [[nodiscard]] CliOptions parse_cli(int argc, char** argv);
+
+/// Parses a positive decimal count. nullopt for an empty value, a non-digit
+/// character, zero, or a value that does not fit in size_t.
+[[nodiscard]] std::optional<std::size_t> parse_count(std::string_view value);
+
+/// parse_count(), plus `auto` for one job per hardware thread.
+[[nodiscard]] std::optional<std::size_t> parse_jobs(std::string_view value);
 
 }  // namespace rthv::exp

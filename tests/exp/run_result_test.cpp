@@ -1,13 +1,18 @@
 // Merge semantics of RunResult and the stats-layer merge() helpers it rides
 // on: folding per-run results in index order must equal one sequential run.
+// Also pins derive_seed(), which makes each run's inputs a pure function of
+// its index.
 #include "exp/run_result.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/hypervisor_system.hpp"
+#include "exp/seed.hpp"
 #include "stats/histogram.hpp"
 #include "stats/latency_recorder.hpp"
 #include "stats/summary.hpp"
@@ -18,6 +23,19 @@ namespace {
 
 using sim::Duration;
 using stats::HandlingClass;
+
+TEST(DeriveSeedTest, DependsOnlyOnBaseAndIndex) {
+  EXPECT_EQ(derive_seed(42, 3), derive_seed(42, 3));
+  EXPECT_NE(derive_seed(42, 3), derive_seed(42, 4));
+  EXPECT_NE(derive_seed(42, 3), derive_seed(43, 3));
+  static_assert(derive_seed(1, 0) == derive_seed(1, 0));  // usable at compile time
+}
+
+TEST(DeriveSeedTest, NeighbouringIndicesAreWellSpread) {
+  std::set<std::uint64_t> seeds;
+  for (std::uint64_t i = 0; i < 1000; ++i) seeds.insert(derive_seed(7, i));
+  EXPECT_EQ(seeds.size(), 1000u);  // no collisions across a realistic sweep
+}
 
 TEST(SummaryMergeTest, AppendsSamplesInOrder) {
   stats::Summary a;

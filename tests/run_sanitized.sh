@@ -49,8 +49,11 @@ ctest --test-dir build-asan --output-on-failure -L hunt -j "$jobs"
 
 # Pool recycling restores snapshots onto live object graphs and re-leases
 # the same HypervisorSystem across runs; ASan/UBSan over the batch suite
-# catches stale-pointer bugs in clear_traces()/restore() recycling.
-echo "== ASan + UBSan: batched campaign engine (ctest -L batch) =="
+# catches stale-pointer bugs in clear_traces()/restore() recycling --
+# including fault-plan runs, whose engine (drift deadline transform,
+# checkpoint client) dies before the slot is recycled -- and the
+# rthv_batch_cli test drives the CLI's overflow and bad-value paths.
+echo "== ASan + UBSan: campaign engine (ctest -L batch) =="
 ctest --test-dir build-asan --output-on-failure -L batch -j "$jobs"
 
 echo "== ASan + UBSan: rthv_hunt smoke =="
@@ -83,16 +86,17 @@ if [[ "$run_tsan" == 1 ]]; then
   ctest --test-dir build-tsan --output-on-failure -L fault -j "$jobs"
 
   # The multicore suite's RunIsIdenticalForAnyJobsCount shards whole
-  # MulticoreSystem runs over SweepRunner workers: TSan proves the merged
-  # per-core simulators and the shared interconnect never leak mutable
-  # state across those workers.
+  # MulticoreSystem runs over BatchRunner workers (pool-less map): TSan
+  # proves the merged per-core simulators and the shared interconnect never
+  # leak mutable state across those workers.
   echo "== TSan: multi-core platform (ctest -L multicore) =="
   ctest --test-dir build-tsan --output-on-failure -L multicore -j "$jobs"
 
-  # The batch runner's work-stealing deques are lock-per-deque by design;
-  # TSan over the batch suite (jobs up to 16, deliberate imbalance) proves
-  # owner pops, thief steals, and SystemPool leasing are race-free.
-  echo "== TSan: batched campaign engine (ctest -L batch) =="
+  # BatchRunner is the one campaign engine; its work-stealing deques are
+  # lock-per-deque by design. TSan over the batch suite (both entry points,
+  # jobs up to 16, a deliberately blocked worker, rthv_batch at --jobs 4)
+  # proves owner pops, thief steals, and SystemPool leasing are race-free.
+  echo "== TSan: campaign engine (ctest -L batch) =="
   ctest --test-dir build-tsan --output-on-failure -L batch -j "$jobs"
 fi
 

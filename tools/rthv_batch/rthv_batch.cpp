@@ -6,9 +6,8 @@
 // (seed + i), executes them on the batched engine -- a SystemPool of
 // recycled systems warm-started by snapshot restore, driven by the
 // work-stealing BatchRunner -- and writes the merged metrics snapshot.
-// Results are bit-identical for any --jobs/--chunk value, with or without
-// warm start, and identical to the classic construct-per-run sweep
-// (`--classic`), which is kept around as the throughput reference.
+// Results are bit-identical for any --jobs/--chunk value and identical to
+// constructing a fresh system per run.
 //
 // Usage:
 //   rthv_batch campaign.json [options]
@@ -16,8 +15,8 @@
 //   --out FILE        write the merged metrics JSON (default: stdout summary only)
 //   --jobs N|auto     override the spec's worker count
 //   --chunk N         override the spec's steal-chunk size
-//   --no-warm-start   pool rebuilds systems instead of snapshot-restoring
-//   --classic         run the same campaign on SweepRunner (reference/AB)
+// A malformed --jobs/--chunk value (zero, non-numeric, too large) prints
+// the usage text and exits 2.
 //
 // Campaign spec: one flat JSON object; unknown keys are rejected so typos
 // fail loudly. All keys are optional:
@@ -32,14 +31,15 @@
 //     "seed":       2014,      // run i uses seed + i
 //     "horizon_ms": 1000000,   // per-run simulation horizon
 //     "jobs":       1,
-//     "chunk":      16,
-//     "warm_start": true
+//     "chunk":      16
 //   }
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -49,10 +49,9 @@
 #include "core/config_loader.hpp"
 #include "core/hypervisor_system.hpp"
 #include "exp/batch_runner.hpp"
+#include "exp/cli.hpp"
 #include "exp/run_result.hpp"
-#include "exp/sweep_runner.hpp"
 #include "exp/system_pool.hpp"
-#include "exp/thread_pool.hpp"
 #include "stats/export.hpp"
 #include "stats/table.hpp"
 #include "workload/generators.hpp"
@@ -74,7 +73,6 @@ struct CampaignSpec {
   std::int64_t horizon_ms = 1'000'000;
   std::size_t jobs = 1;
   std::size_t chunk = 16;
-  bool warm_start = true;
 };
 
 /// Minimal parser for the flat campaign-spec object above: string, integer
@@ -134,8 +132,6 @@ class SpecParser {
       spec.jobs = parse_size();
     } else if (key == "chunk") {
       spec.chunk = parse_size();
-    } else if (key == "warm_start") {
-      spec.warm_start = parse_bool();
     } else {
       fail("unknown campaign key \"" + key + "\"");
     }
@@ -210,7 +206,12 @@ CampaignSpec load_spec(const std::string& path) {
 
 void usage() {
   std::cerr << "usage: rthv_batch campaign.json [--out FILE] [--jobs N|auto]\n"
-               "  [--chunk N] [--no-warm-start] [--classic]\n";
+               "  [--chunk N]\n";
+}
+
+[[noreturn]] void usage_error() {
+  usage();
+  std::exit(2);
 }
 
 }  // namespace
@@ -223,33 +224,23 @@ int main(int argc, char** argv) {
     }
     CampaignSpec spec = load_spec(argv[1]);
     std::string out_path;
-    bool classic = false;
     for (int i = 2; i < argc; ++i) {
-      const auto need = [&] {
-        if (i + 1 >= argc) {
-          usage();
-          std::exit(2);
-        }
+      const auto value = [&]() -> std::string_view {
+        if (i + 1 >= argc) usage_error();
+        return argv[++i];
+      };
+      const auto count = [](std::optional<std::size_t> parsed) {
+        if (!parsed) usage_error();
+        return *parsed;
       };
       if (std::strcmp(argv[i], "--out") == 0) {
-        need();
-        out_path = argv[++i];
+        out_path = value();
       } else if (std::strcmp(argv[i], "--jobs") == 0) {
-        need();
-        ++i;
-        spec.jobs = std::strcmp(argv[i], "auto") == 0
-                        ? exp::ThreadPool::hardware_jobs()
-                        : static_cast<std::size_t>(std::stoull(argv[i]));
+        spec.jobs = count(exp::parse_jobs(value()));
       } else if (std::strcmp(argv[i], "--chunk") == 0) {
-        need();
-        spec.chunk = static_cast<std::size_t>(std::stoull(argv[++i]));
-      } else if (std::strcmp(argv[i], "--no-warm-start") == 0) {
-        spec.warm_start = false;
-      } else if (std::strcmp(argv[i], "--classic") == 0) {
-        classic = true;
+        spec.chunk = count(exp::parse_count(value()));
       } else {
-        usage();
-        return 2;
+        usage_error();
       }
     }
 
@@ -270,7 +261,7 @@ int main(int argc, char** argv) {
     config.expected_pending_events = 128;
 
     // Run i's inputs are a pure function of i; merged results are
-    // bit-identical for any jobs/chunk value and for --classic.
+    // bit-identical for any jobs/chunk value.
     const auto run_one = [&](std::size_t i, core::HypervisorSystem& system) {
       workload::ExponentialTraceGenerator gen(
           lambda, spec.seed + i, spec.floor ? d_min : Duration::zero());
@@ -280,23 +271,10 @@ int main(int argc, char** argv) {
     };
 
     const auto t0 = std::chrono::steady_clock::now();
-    std::vector<exp::RunResult> runs;
-    exp::BatchStats batch_stats;
-    if (classic) {
-      exp::SweepRunner runner(spec.jobs);
-      runs = runner.map(spec.runs, [&](std::size_t i) {
-        core::HypervisorSystem system(config);
-        return run_one(i, system);
-      });
-    } else {
-      exp::SystemPool::Options pool_options;
-      pool_options.warm_start = spec.warm_start;
-      exp::SystemPool pool(config, pool_options);
-      exp::BatchRunner runner(
-          exp::BatchOptions{.jobs = spec.jobs, .chunk = spec.chunk});
-      runs = runner.map(pool, spec.runs, run_one);
-      batch_stats = runner.stats();
-    }
+    exp::SystemPool pool(config);
+    exp::BatchRunner runner(exp::BatchOptions{.jobs = spec.jobs, .chunk = spec.chunk});
+    auto runs = runner.map(pool, spec.runs, run_one);
+    const auto& batch_stats = runner.stats();
     const auto t1 = std::chrono::steady_clock::now();
     const double wall_s = std::chrono::duration<double>(t1 - t0).count();
 
@@ -307,11 +285,8 @@ int main(int argc, char** argv) {
     std::cout << "=== rthv_batch: " << spec.runs << " runs x " << spec.irqs
               << " IRQs (" << spec.mode << ", lambda " << spec.lambda_us
               << "us, d_min " << d_min.as_us() << "us) ===\n";
-    std::cout << "engine:      "
-              << (classic ? "classic sweep (construct per run)"
-                  : spec.warm_start ? "batched, snapshot warm-start"
-                                    : "batched, cold rebuild per run")
-              << ", jobs " << spec.jobs << ", chunk " << spec.chunk << "\n";
+    std::cout << "engine:      batched, snapshot warm-start, jobs " << spec.jobs
+              << ", chunk " << spec.chunk << "\n";
     std::cout << "wall time:   " << stats::Table::num(wall_s * 1e3) << " ms ("
               << stats::Table::num(static_cast<double>(spec.runs) / wall_s, 0)
               << " runs/s)\n";
@@ -324,15 +299,12 @@ int main(int argc, char** argv) {
               << merged.tdma_switches + merged.interpose_switches +
                      merged.deferred_switches
               << "\n";
-    if (!classic) {
-      std::cout << "pool:        " << batch_stats.pool.constructed
-                << " systems constructed, " << batch_stats.pool.warm_recycles
-                << " warm recycles, " << batch_stats.pool.cold_rebuilds
-                << " cold rebuilds\n";
-      std::cout << "stealing:    " << batch_stats.steals << "/" << batch_stats.chunks
-                << " chunks stolen ("
-                << stats::Table::num(batch_stats.steal_ratio() * 100) << "%)\n";
-    }
+    std::cout << "pool:        " << batch_stats.pool.constructed
+              << " systems constructed, " << batch_stats.pool.warm_recycles
+              << " warm recycles\n";
+    std::cout << "stealing:    " << batch_stats.steals << "/" << batch_stats.chunks
+              << " chunks stolen (" << stats::Table::num(batch_stats.steal_ratio() * 100)
+              << "%)\n";
     if (!out_path.empty()) {
       stats::write_metrics_json_file(out_path, merged.metrics);
       std::cout << "merged metrics written to " << out_path << "\n";
