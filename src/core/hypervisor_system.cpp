@@ -309,34 +309,28 @@ void HypervisorSystem::detach_checkpoint_client(CheckpointClient* client) {
   if (client_ == client) client_ = nullptr;
 }
 
+template <class Ar>
+void HypervisorSystem::state(Ar& ar) {
+  ar(*platform_);
+  ar.expect(guests_.size(), "HypervisorSystem guest count");
+  for (auto& g : guests_) ar(*g);
+  ar.expect(drivers_.size(), "HypervisorSystem trace-driver count");
+  for (auto& d : drivers_) ar(*d);
+  ar(expected_, completed_, keep_completions_, run_to_horizon_, started_);
+}
+
 HypervisorSystem::SystemSnapshot HypervisorSystem::snapshot() const {
   SystemSnapshot snap;
   snap.sim = sim_.snapshot();
 
-  sim::StateWriter w;
-  platform_->snapshot_state(w);
-  w.u64(guests_.size());
-  for (const auto& g : guests_) g->snapshot_state(w);
-  w.u64(drivers_.size());
-  for (const auto& d : drivers_) d->snapshot_state(w);
-  w.u64(expected_);
-  w.u64(completed_);
-  w.boolean(keep_completions_);
-  w.boolean(run_to_horizon_);
-  w.boolean(started_);
-  snap.words = w.take();
-
+  snap.words = sim::save_words(*this);
   snap.hv = hv_->snapshot();
   snap.metrics = metrics_.snapshot();
   snap.recorder = recorder_;
   snap.completions = completions_;
 
   snap.has_client = client_ != nullptr;
-  if (client_ != nullptr) {
-    sim::StateWriter cw;
-    client_->snapshot_state(cw);
-    snap.client_words = cw.take();
-  }
+  if (client_ != nullptr) snap.client_words = sim::save_words(*client_);
   return snap;
 }
 
@@ -347,23 +341,7 @@ void HypervisorSystem::restore(const SystemSnapshot& snap) {
   }
   sim_.restore(snap.sim);
 
-  sim::StateReader r(snap.words);
-  platform_->restore_state(r);
-  if (r.u64() != guests_.size()) {
-    throw std::logic_error("HypervisorSystem::restore: guest count changed");
-  }
-  for (auto& g : guests_) g->restore_state(r);
-  if (r.u64() != drivers_.size()) {
-    throw std::logic_error("HypervisorSystem::restore: trace-driver count changed");
-  }
-  for (auto& d : drivers_) d->restore_state(r);
-  expected_ = r.u64();
-  completed_ = r.u64();
-  keep_completions_ = r.boolean();
-  run_to_horizon_ = r.boolean();
-  started_ = r.boolean();
-  assert(r.exhausted() && "system snapshot stream not fully consumed");
-
+  sim::load_words(snap.words, *this, "HypervisorSystem::restore");
   hv_->restore(snap.hv);
   metrics_.restore(snap.metrics);
   recorder_ = snap.recorder;
@@ -373,9 +351,7 @@ void HypervisorSystem::restore(const SystemSnapshot& snap) {
   // (e.g. a clock-drift deadline transform) on the freshly restored
   // platform state.
   if (client_ != nullptr) {
-    sim::StateReader cr(snap.client_words);
-    client_->restore_state(cr);
-    assert(cr.exhausted() && "client snapshot stream not fully consumed");
+    sim::load_words(snap.client_words, *client_, "HypervisorSystem::restore (checkpoint client)");
   }
 }
 

@@ -30,8 +30,10 @@ namespace rthv::core {
 class CheckpointClient {
  public:
   virtual ~CheckpointClient() = default;
-  virtual void snapshot_state(sim::StateWriter& w) const = 0;
-  virtual void restore_state(sim::StateReader& r) = 0;
+  /// Checkpoint entry points; implementations forward both to their
+  /// single state(Ar&) (see sim/state_io.hpp).
+  virtual void visit(sim::StateWriter& ar) = 0;
+  virtual void visit(sim::StateReader& ar) = 0;
 };
 
 class HypervisorSystem {
@@ -155,6 +157,12 @@ class HypervisorSystem {
   [[nodiscard]] obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
+  friend class sim::StateWriter;
+  friend class sim::StateReader;
+  /// The word-stream part of the snapshot (defined next to snapshot()).
+  template <class Ar>
+  void state(Ar& ar);
+
   SystemConfig config_;  // lint: transient(construction config; restore requires an identically configured system)
   sim::Simulator sim_;
   std::unique_ptr<hw::Platform> platform_;

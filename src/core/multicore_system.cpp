@@ -278,19 +278,20 @@ obs::MetricsSnapshot MulticoreSystem::metrics_snapshot() const {
   return out;
 }
 
+template <class Ar>
+void MulticoreSystem::state(Ar& ar) {
+  ar(*interconnect_);
+  ar.expect(routed_.size(), "MulticoreSystem routed-driver count");
+  for (auto& d : routed_) ar(*d);
+  ar(expected_, run_to_horizon_, started_);
+}
+
 MulticoreSystem::Snapshot MulticoreSystem::snapshot() const {
   Snapshot snap;
   snap.cores.reserve(cores_.size());
   for (const auto& c : cores_) snap.cores.push_back(c->snapshot());
 
-  sim::StateWriter w;
-  interconnect_->snapshot_state(w);
-  w.u64(routed_.size());
-  for (const auto& d : routed_) d->snapshot_state(w);
-  w.u64(expected_);
-  w.boolean(run_to_horizon_);
-  w.boolean(started_);
-  snap.shared_words = w.take();
+  snap.shared_words = sim::save_words(*this);
   return snap;
 }
 
@@ -301,15 +302,7 @@ void MulticoreSystem::restore(const Snapshot& snap) {
   for (std::size_t c = 0; c < cores_.size(); ++c) {
     cores_[c]->restore(snap.cores[c]);
   }
-  sim::StateReader r(snap.shared_words);
-  interconnect_->restore_state(r);
-  if (r.u64() != routed_.size()) {
-    throw std::logic_error("MulticoreSystem::restore: routed-driver count changed");
-  }
-  for (auto& d : routed_) d->restore_state(r);
-  expected_ = r.u64();
-  run_to_horizon_ = r.boolean();
-  started_ = r.boolean();
+  sim::load_words(snap.shared_words, *this, "MulticoreSystem::restore");
 }
 
 }  // namespace rthv::core

@@ -61,15 +61,9 @@ class RoutedTraceDriver {
 
   /// Replay cursor only; the armed activation and in-flight route events
   /// live in the two simulators' own snapshots.
-  void snapshot_state(sim::StateWriter& w) const {
-    w.u64(next_);
-    w.u64(fired_);
-    w.boolean(started_);
-  }
-  void restore_state(sim::StateReader& r) {
-    next_ = r.u64();
-    fired_ = r.u64();
-    started_ = r.boolean();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(next_, fired_, started_);
   }
 
  private:
@@ -195,6 +189,12 @@ class MulticoreSystem {
   void restore(const Snapshot& snap);
 
  private:
+  friend class sim::StateWriter;
+  friend class sim::StateReader;
+  /// The word-stream part of the snapshot (defined next to snapshot()).
+  template <class Ar>
+  void state(Ar& ar);
+
   [[nodiscard]] std::uint64_t lost_on_routed_sources() const;
 
   SystemConfig config_;  // lint: transient(construction config; restore requires an identically configured system)

@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "hw/hw_timer.hpp"
-#include "sim/state_io.hpp"
 #include "workload/trace.hpp"
 
 namespace rthv::core {
@@ -28,13 +27,9 @@ class TraceIrqDriver {
 
   /// Checkpoint of the replay cursor; the timer's armed deadline and the
   /// expiry hook live in the hardware/simulator snapshots.
-  void snapshot_state(sim::StateWriter& w) const {
-    w.u64(next_);
-    w.boolean(started_);
-  }
-  void restore_state(sim::StateReader& r) {
-    next_ = r.u64();
-    started_ = r.boolean();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(next_, started_);
   }
 
  private:

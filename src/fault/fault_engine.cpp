@@ -35,18 +35,6 @@ void FaultEngine::arm() {
   }
 }
 
-void FaultEngine::snapshot_state(sim::StateWriter& w) const {
-  w.u64(injectors_.size());
-  for (const auto& injector : injectors_) injector->snapshot_state(w);
-}
-
-void FaultEngine::restore_state(sim::StateReader& r) {
-  if (r.u64() != injectors_.size()) {
-    throw std::logic_error("FaultEngine::restore_state: injector count changed");
-  }
-  for (auto& injector : injectors_) injector->restore_state(r);
-}
-
 std::uint64_t FaultEngine::total_injected() const {
   std::uint64_t total = 0;
   for (const auto& injector : injectors_) total += injector->injected();

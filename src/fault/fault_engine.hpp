@@ -54,10 +54,16 @@ class FaultEngine final : public core::CheckpointClient {
   }
 
   // --- core::CheckpointClient ----------------------------------------------
-  void snapshot_state(sim::StateWriter& w) const override;
-  void restore_state(sim::StateReader& r) override;
+  void visit(sim::StateWriter& ar) override { state(ar); }
+  void visit(sim::StateReader& ar) override { state(ar); }
 
  private:
+  template <class Ar>
+  void state(Ar& ar) {
+    ar.expect(injectors_.size(), "FaultEngine injector count");
+    for (auto& injector : injectors_) ar(*injector);
+  }
+
   core::HypervisorSystem& system_;
   InjectionContext ctx_;  // lint: transient(bundle of references into the live system; no state of its own)
   std::vector<std::unique_ptr<FaultInjector>> injectors_;

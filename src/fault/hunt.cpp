@@ -246,7 +246,7 @@ HuntResult run_hunt(const HuntConfig& cfg) {
   // Identical prefix on every replica: build, arm base plan, run to fork,
   // snapshot. The base engine stays alive for the whole hunt -- snapshot
   // callbacks reference it, and it is the checkpoint client whose
-  // restore_state re-establishes device hooks after each restore.
+  // state load re-establishes device hooks after each restore.
   std::vector<Worker> workers(jobs);
   for (auto& w : workers) {
     w.system = cfg.make_system();

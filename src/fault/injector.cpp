@@ -129,23 +129,12 @@ void ClockDriftInjector::install(InjectionContext& ctx) {
 
 void ClockDriftInjector::disarm(InjectionContext& ctx) {
   if (!installed_) return;
-  if (hw::HwTimer* timer = tick_timer(ctx)) timer->set_deadline_transform({});
+  clear_hook(ctx);
   installed_ = false;
 }
 
-void ClockDriftInjector::restore_state(sim::StateReader& r) {
-  FaultInjector::restore_state(r);
-  epoch_ns_ = r.i64();
-  const bool was_installed = r.boolean();
-  // Converge the live hook on the restored truth: a mutant engine's drift
-  // injector may have replaced it, or disarm may have removed it, since the
-  // snapshot was taken.
-  if (was_installed && armed_ctx_ != nullptr) {
-    install(*armed_ctx_);
-  } else if (!was_installed && installed_ && armed_ctx_ != nullptr) {
-    disarm(*armed_ctx_);
-  }
-  installed_ = was_installed;
+void ClockDriftInjector::clear_hook(InjectionContext& ctx) {
+  if (hw::HwTimer* timer = tick_timer(ctx)) timer->set_deadline_transform({});
 }
 
 TimePoint ClockDriftInjector::transform(InjectionContext& ctx, TimePoint deadline) {

@@ -66,20 +66,21 @@ class FaultInjector {
   /// the shared hardware.
   virtual void disarm(InjectionContext& ctx) { (void)ctx; }
 
-  /// Checkpoint of the injector's mutable state (RNG stream, action
-  /// counter, derived overrides). The injection events pending on the
-  /// simulator are captured by the simulator snapshot; their callbacks
-  /// reference this object, which a restore keeps in place.
-  virtual void snapshot_state(sim::StateWriter& w) const {
-    w.pod(rng_.state());
-    w.u64(injected_);
-  }
-  virtual void restore_state(sim::StateReader& r) {
-    rng_.set_state(r.pod<sim::Xoshiro256::State>());
-    injected_ = r.u64();
-  }
+  /// Checkpoint entry points of the injector's mutable state (RNG stream,
+  /// action counter, derived overrides). Each derived class with state of
+  /// its own overrides both with a forward to its state(), which visits the
+  /// base's first. The injection events pending on the simulator are
+  /// captured by the simulator snapshot; their callbacks reference this
+  /// object, which a restore keeps in place.
+  virtual void visit(sim::StateWriter& ar) { state(ar); }
+  virtual void visit(sim::StateReader& ar) { state(ar); }
 
  protected:
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(rng_, injected_);
+  }
+
   virtual void do_arm(InjectionContext& ctx) = 0;
 
   /// Counts one injection: bumps the kind counter and emits a kFaultInject
@@ -146,25 +147,38 @@ class ClockDriftInjector final : public FaultInjector {
   /// warping the TDMA grid through a dangling callback).
   void disarm(InjectionContext& ctx) override;
 
-  void snapshot_state(sim::StateWriter& w) const override {
-    FaultInjector::snapshot_state(w);
-    w.i64(epoch_ns_);
-    w.boolean(installed_);
-  }
-  /// Re-installs the transform when the snapshot had it active: a restore
-  /// may land on state where a since-destroyed mutant engine's injector had
-  /// overwritten (or disarm had removed) this injector's hook.
-  void restore_state(sim::StateReader& r) override;
+  void visit(sim::StateWriter& ar) override { state(ar); }
+  void visit(sim::StateReader& ar) override { state(ar); }
 
  private:
+  /// A load converges the live hook on the restored truth: a restore may
+  /// land on state where a since-destroyed mutant engine's injector had
+  /// overwritten (or disarm had removed) this injector's hook, so it is
+  /// re-installed when the snapshot had it active, and removed when only
+  /// the pre-load state had it.
+  template <class Ar>
+  void state(Ar& ar) {
+    const bool hooked = installed_;
+    FaultInjector::state(ar);
+    ar(epoch_ns_, installed_);
+    if constexpr (Ar::kLoading) {
+      if (armed_ctx_ != nullptr && installed_) {
+        install(*armed_ctx_);
+      } else if (armed_ctx_ != nullptr && hooked) {
+        clear_hook(*armed_ctx_);
+      }
+    }
+  }
+
   void do_arm(InjectionContext& ctx) override;
   void install(InjectionContext& ctx);
+  void clear_hook(InjectionContext& ctx);
   [[nodiscard]] sim::TimePoint transform(InjectionContext& ctx, sim::TimePoint deadline);
   [[nodiscard]] hw::HwTimer* tick_timer(InjectionContext& ctx) const;
 
   std::int64_t epoch_ns_ = 0;
   bool installed_ = false;
-  // lint: transient(live-system wiring captured by arm(); restore_state reuses it to re-install the transform)
+  // lint: transient(live-system wiring captured by arm(); a load reuses it to re-install the transform)
   InjectionContext* armed_ctx_ = nullptr;
 };
 
@@ -199,20 +213,17 @@ class AdversaryInjector final : public FaultInjector {
  public:
   using FaultInjector::FaultInjector;
 
-  void snapshot_state(sim::StateWriter& w) const override {
-    FaultInjector::snapshot_state(w);
-    w.pod_vec(shadow_);
-    w.u64(shadow_count_);
-    w.u64(raises_done_);
-  }
-  void restore_state(sim::StateReader& r) override {
-    FaultInjector::restore_state(r);
-    r.pod_vec(shadow_);
-    shadow_count_ = r.u64();
-    raises_done_ = r.u64();
-  }
+  void visit(sim::StateWriter& ar) override { state(ar); }
+  void visit(sim::StateReader& ar) override { state(ar); }
 
  private:
+  template <class Ar>
+  void state(Ar& ar) {
+    FaultInjector::state(ar);
+    ar.vec(shadow_);
+    ar(shadow_count_, raises_done_);
+  }
+
   void do_arm(InjectionContext& ctx) override;
   void schedule_next(InjectionContext& ctx, std::uint64_t remaining);
   [[nodiscard]] sim::TimePoint earliest_admissible(sim::TimePoint now) const;

@@ -15,7 +15,6 @@
 // timer IRQ delivered via the partition's queue would.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -24,7 +23,6 @@
 
 #include "hv/types.hpp"
 #include "sim/simulator.hpp"
-#include "sim/state_io.hpp"
 
 namespace rthv::guest {
 
@@ -100,43 +98,14 @@ class GuestKernel final : public hv::PartitionClient {
   /// Checkpoint of the kernel's scheduling state. Release events pending on
   /// the simulator are captured by the simulator snapshot; task configs and
   /// callbacks are structural/wiring.
-  void snapshot_state(sim::StateWriter& w) const {
-    w.u64(tasks_.size());
-    for (const Task& t : tasks_) {
-      w.boolean(t.ready);
-      w.pod(t.job_remaining);
-      w.pod(t.release_time);
-      w.u64(t.released);
-      w.u64(t.completed);
-      w.u64(t.overruns);
-      w.u64(t.deadline_misses);
-      w.u64(t.pending_activations);
-    }
-    w.boolean(started_);
-    w.u64(bh_seen_);
-    w.u64(rr_cursor_);
-    w.u64(chunk_task_);
-    w.pod(chunk_size_);
-  }
-  void restore_state(sim::StateReader& r) {
-    const std::uint64_t n = r.u64();
-    assert(n == tasks_.size() && "GuestKernel task set changed across restore");
-    (void)n;
+  template <class Ar>
+  void state(Ar& ar) {
+    ar.expect(tasks_.size(), "GuestKernel task count");
     for (Task& t : tasks_) {
-      t.ready = r.boolean();
-      t.job_remaining = r.pod<sim::Duration>();
-      t.release_time = r.pod<sim::TimePoint>();
-      t.released = r.u64();
-      t.completed = r.u64();
-      t.overruns = r.u64();
-      t.deadline_misses = r.u64();
-      t.pending_activations = r.u64();
+      ar(t.ready, t.job_remaining, t.release_time, t.released, t.completed, t.overruns,
+         t.deadline_misses, t.pending_activations);
     }
-    started_ = r.boolean();
-    bh_seen_ = r.u64();
-    rr_cursor_ = r.u64();
-    chunk_task_ = static_cast<TaskId>(r.u64());
-    chunk_size_ = r.pod<sim::Duration>();
+    ar(started_, bh_seen_, rr_cursor_, chunk_task_, chunk_size_);
   }
 
  private:

@@ -32,7 +32,6 @@
 
 #include "hv/types.hpp"
 #include "obs/trace_ring.hpp"
-#include "sim/state_io.hpp"
 #include "sim/time.hpp"
 
 namespace rthv::hv {
@@ -81,16 +80,10 @@ class HealthMonitor {
 
   /// Checkpoint of the event ring and per-kind counters (callback and trace
   /// attachment are wiring).
-  void snapshot_state(sim::StateWriter& w) const {
-    w.u64(ring_.size());
-    for (const HealthEvent& e : ring_) w.pod(e);
-    w.pod_span(counts_.data(), counts_.size());
-  }
-  void restore_state(sim::StateReader& r) {
-    const std::uint64_t n = r.u64();
-    ring_.clear();
-    for (std::uint64_t i = 0; i < n; ++i) ring_.push_back(r.pod<HealthEvent>());
-    r.pod_span(counts_.data(), counts_.size());
+  template <class Ar>
+  void state(Ar& ar) {
+    ar.vec(ring_);
+    ar(counts_);
   }
 
  private:

@@ -20,7 +20,7 @@ using Reason = Hypervisor::ContextChange::Reason;
 Hypervisor::Hypervisor(hw::Platform& platform, const OverheadConfig& overheads)
     : platform_(platform), overheads_(platform.cpu(), platform.memory(), overheads) {
   lines_.resize(platform_.intc().num_lines());
-  health_.set_trace(&trace_.ring());
+  health_.set_trace(&trace_ring_);
 }
 
 PartitionId Hypervisor::add_partition(std::string name, std::size_t irq_queue_capacity) {
@@ -528,7 +528,7 @@ void Hypervisor::emit_batch_records(TimePoint ta) {
   // tracing is off, except the overflow health reports, which are
   // simulation state and must not depend on tracing.
   std::optional<obs::TraceRing::BatchEmitter> burst;
-  burst.emplace(trace_.ring());
+  burst.emplace(trace_ring_);
   const std::int64_t ta_ns = ta.count_ns();
   for (std::size_t i = 0; i < batch_.count; ++i) {
     const BatchItem& item = batch_.items[i];
@@ -559,7 +559,7 @@ void Hypervisor::emit_batch_records(TimePoint ta) {
       // (rare) overflow report so record order matches the scalar path.
       burst->commit();
       health_.report(HealthEvent{ta, HealthEventKind::kIrqQueueOverflow, sub, sid});
-      burst.emplace(trace_.ring());
+      burst.emplace(trace_ring_);
     } else {
       burst->emit(ta_ns, TracePoint::kIrqPush, TraceCategory::kIrq, sub, sid, ev.seq,
                   item.queue_stat);
@@ -964,112 +964,63 @@ void Hypervisor::on_slice_complete() {
   end_interpose();
 }
 
-Hypervisor::Snapshot Hypervisor::snapshot() const {
-  sim::StateWriter w;
-  w.boolean(started_);
-  w.boolean(hv_busy_);
-  w.boolean(cpu_idle_);
-  w.u64(current_partition_);
-  w.boolean(running_.has_value());
-  if (running_) w.pod(*running_);
-  w.boolean(interpose_.has_value());
-  if (interpose_) w.pod(*interpose_);
-  w.boolean(slot_switch_pending_);
-  w.pod_vec(pending_restarts_);
-  w.pod(ctx_stats_);
-  w.pod(irq_path_stats_);
-  w.u64(restarts_);
+template <class Ar>
+void Hypervisor::state(Ar& ar) {
+  ar(started_, hv_busy_, cpu_idle_, current_partition_);
+  ar.opt(running_);
+  ar.opt(interpose_);
+  ar(slot_switch_pending_);
+  ar.vec(pending_restarts_);
+  ar(ctx_stats_, irq_path_stats_, restarts_);
   // Only live batch items: the 64-slot scratch array is almost always empty
   // between events, and warm-start restores pay for every serialized word.
-  w.u64(batch_.count);
-  w.pod_span(batch_.items, batch_.count);
-  w.boolean(scheduler_ != nullptr);
-  if (scheduler_) scheduler_->snapshot_state(w);
-  w.u64(partitions_.size());
-  for (const Partition& p : partitions_) p.snapshot_state(w);
-  w.pod_vec(srcs_.next_seq);
-  w.pod_vec(srcs_.infl_acc);
-  w.pod_vec(srcs_.last_norm_ns);
-  w.u64(owned_monitors_.size());
-  for (const auto& m : owned_monitors_) {
-    w.boolean(m != nullptr);
-    if (m) m->snapshot_state(w);
+  ar(batch_.count);
+  if constexpr (Ar::kLoading) {
+    if (batch_.count > IrqBatch::kCapacity) {
+      throw std::logic_error("Hypervisor snapshot: batch count exceeds capacity");
+    }
   }
-  w.boolean(ipc_ != nullptr);
-  if (ipc_) ipc_->snapshot_state(w);
-  ports_.snapshot_state(w);
-  health_.snapshot_state(w);
+  ar.span(batch_.items, batch_.count);
+  ar.expect(scheduler_ != nullptr, "Hypervisor schedule configuration");
+  if (scheduler_) ar(*scheduler_);
+  ar.expect(partitions_.size(), "Hypervisor partition count");
+  for (Partition& p : partitions_) ar(p);
+  ar.vec(srcs_.next_seq);
+  ar.vec(srcs_.infl_acc);
+  ar.vec(srcs_.last_norm_ns);
+  ar.expect(owned_monitors_.size(), "Hypervisor source count");
+  for (auto& m : owned_monitors_) {
+    ar.expect(m != nullptr, "Hypervisor monitor set");
+    if (m) ar(*m);
+  }
+  ar.expect(ipc_ != nullptr, "Hypervisor IPC router presence");
+  if (ipc_) ar(*ipc_);
+  ar(ports_, health_);
+}
 
+Hypervisor::Snapshot Hypervisor::snapshot() const {
   Snapshot snap;
-  snap.words = w.take();
+  snap.words = sim::save_words(*this);
   snap.bh_in_progress.reserve(partitions_.size());
   snap.saved_guest_work.reserve(partitions_.size());
   for (const Partition& p : partitions_) {
     snap.bh_in_progress.push_back(p.bh_in_progress);
     snap.saved_guest_work.push_back(p.saved_guest_work);
   }
-  snap.trace_ring = trace_.ring();
+  snap.trace_ring = trace_ring_;
   return snap;
 }
 
 void Hypervisor::restore(const Snapshot& snap) {
-  sim::StateReader r(snap.words);
-  started_ = r.boolean();
-  hv_busy_ = r.boolean();
-  cpu_idle_ = r.boolean();
-  current_partition_ = static_cast<PartitionId>(r.u64());
-  running_.reset();
-  if (r.boolean()) running_ = r.pod<Running>();
-  interpose_.reset();
-  if (r.boolean()) interpose_ = r.pod<Interpose>();
-  slot_switch_pending_ = r.boolean();
-  r.pod_vec(pending_restarts_);
-  ctx_stats_ = r.pod<ContextSwitchStats>();
-  irq_path_stats_ = r.pod<IrqPathStats>();
-  restarts_ = r.u64();
-  batch_.count = r.u64();
-  if (batch_.count > IrqBatch::kCapacity) {
-    throw std::logic_error("Hypervisor::restore: batch count exceeds capacity");
-  }
-  r.pod_span(batch_.items, batch_.count);
-  const bool had_scheduler = r.boolean();
-  if (had_scheduler != (scheduler_ != nullptr)) {
-    throw std::logic_error("Hypervisor::restore: schedule configuration changed");
-  }
-  if (scheduler_) scheduler_->restore_state(r);
-  if (r.u64() != partitions_.size()) {
-    throw std::logic_error("Hypervisor::restore: partition count changed");
-  }
-  for (Partition& p : partitions_) p.restore_state(r);
-  r.pod_vec(srcs_.next_seq);
-  r.pod_vec(srcs_.infl_acc);
-  r.pod_vec(srcs_.last_norm_ns);
-  if (r.u64() != owned_monitors_.size()) {
-    throw std::logic_error("Hypervisor::restore: source count changed");
-  }
-  for (auto& m : owned_monitors_) {
-    if (r.boolean() != (m != nullptr)) {
-      throw std::logic_error("Hypervisor::restore: monitor set changed");
-    }
-    if (m) m->restore_state(r);
-  }
-  const bool had_ipc = r.boolean();
-  if (had_ipc != (ipc_ != nullptr)) {
-    throw std::logic_error("Hypervisor::restore: IPC router presence changed");
-  }
-  if (ipc_) ipc_->restore_state(r);
-  ports_.restore_state(r);
-  health_.restore_state(r);
-  assert(r.exhausted() && "Hypervisor snapshot stream not fully consumed");
-
+  sim::load_words(snap.words, *this, "Hypervisor::restore");
   assert(snap.bh_in_progress.size() == partitions_.size());
   for (std::size_t i = 0; i < partitions_.size(); ++i) {
     partitions_[i].bh_in_progress = snap.bh_in_progress[i];
     partitions_[i].saved_guest_work = snap.saved_guest_work[i];
   }
-  trace_.ring() = snap.trace_ring;
+  trace_ring_ = snap.trace_ring;
   // The health monitor traces into the ring we just copy-assigned over; its
-  // pointer still targets trace_.ring() itself, so no rewiring is needed.
+  // pointer still targets trace_ring_ itself, so no rewiring is needed.
 }
 
 obs::TraceMeta Hypervisor::trace_meta() const {

@@ -70,7 +70,7 @@
 #include "mon/monitor.hpp"
 #include "obs/trace_event.hpp"
 #include "obs/trace_ring.hpp"
-#include "sim/trace_log.hpp"
+#include "sim/state_io.hpp"
 #include "stats/latency_recorder.hpp"
 
 namespace rthv::hv {
@@ -290,12 +290,10 @@ class Hypervisor {
   [[nodiscard]] const IrqPathStats& irq_stats() const { return irq_path_stats_; }
   [[nodiscard]] const IpcRouter& ipc() const { return *ipc_; }
 
-  [[nodiscard]] sim::TraceLog& trace_log() { return trace_; }
-
-  /// Typed trace ring behind the log; every hypervisor hot path emits here
-  /// when tracing is enabled (set_enabled on either facade or ring).
-  [[nodiscard]] obs::TraceRing& trace_ring() { return trace_.ring(); }
-  [[nodiscard]] const obs::TraceRing& trace_ring() const { return trace_.ring(); }
+  /// Typed trace ring; every hypervisor hot path emits here when tracing
+  /// is enabled (trace_ring().set_enabled(true)).
+  [[nodiscard]] obs::TraceRing& trace_ring() { return trace_ring_; }
+  [[nodiscard]] const obs::TraceRing& trace_ring() const { return trace_ring_; }
 
   /// Partition / source names for rendering trace snapshots.
   [[nodiscard]] obs::TraceMeta trace_meta() const;
@@ -323,6 +321,12 @@ class Hypervisor {
   void restore(const Snapshot& snap);
 
  private:
+  friend class sim::StateWriter;
+  friend class sim::StateReader;
+  /// The word-stream part of Snapshot (defined next to snapshot()).
+  template <class Ar>
+  void state(Ar& ar);
+
   /// Which storage slot of the partition the running work lives in.
   enum class WorkSlot : std::uint8_t { kBottomHandler, kGuest };
 
@@ -402,7 +406,7 @@ class Hypervisor {
   void trace(obs::TracePoint point, obs::TraceCategory category,
              std::uint32_t partition = obs::kNoId, std::uint32_t source = obs::kNoId,
              std::uint64_t arg0 = 0, std::uint64_t arg1 = 0) {
-    trace_.ring().emit(now().count_ns(), point, category, partition, source, arg0, arg1);
+    trace_ring_.emit(now().count_ns(), point, category, partition, source, arg0, arg1);
   }
   /// Same, with an explicit timestamp: fused hot-path chains emit the
   /// intermediate instants of the steps they collapsed.
@@ -410,12 +414,12 @@ class Hypervisor {
                 std::uint32_t partition = obs::kNoId,
                 std::uint32_t source = obs::kNoId, std::uint64_t arg0 = 0,
                 std::uint64_t arg1 = 0) {
-    trace_.ring().emit(t.count_ns(), point, category, partition, source, arg0, arg1);
+    trace_ring_.emit(t.count_ns(), point, category, partition, source, arg0, arg1);
   }
 
   hw::Platform& platform_;
   OverheadModel overheads_;  // lint: transient(cost-model config fixed before start)
-  sim::TraceLog trace_;
+  obs::TraceRing trace_ring_;
 
   std::vector<Partition> partitions_;
   std::unique_ptr<TdmaScheduler> scheduler_;

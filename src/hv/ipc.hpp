@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "hv/types.hpp"
-#include "sim/state_io.hpp"
 
 namespace rthv::hv {
 
@@ -39,25 +38,11 @@ class IpcRouter {
   [[nodiscard]] std::uint64_t dropped_total() const { return dropped_; }
 
   /// Checkpoint of all mailboxes and counters.
-  void snapshot_state(sim::StateWriter& w) const {
-    w.u64(mailboxes_.size());
-    for (const auto& box : mailboxes_) {
-      w.u64(box.size());
-      for (const IpcMessage& m : box) w.pod(m);
-    }
-    w.u64(sent_);
-    w.u64(dropped_);
-  }
-  void restore_state(sim::StateReader& r) {
-    const std::uint64_t boxes = r.u64();
-    mailboxes_.resize(boxes);
-    for (auto& box : mailboxes_) {
-      const std::uint64_t n = r.u64();
-      box.clear();
-      for (std::uint64_t i = 0; i < n; ++i) box.push_back(r.pod<IpcMessage>());
-    }
-    sent_ = r.u64();
-    dropped_ = r.u64();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar.expect(mailboxes_.size(), "IPC mailbox count");
+    for (auto& box : mailboxes_) ar.vec(box);
+    ar(sent_, dropped_);
   }
 
  private:

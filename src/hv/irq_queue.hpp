@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "hv/types.hpp"
-#include "sim/state_io.hpp"
 
 namespace rthv::hv {
 
@@ -89,29 +88,20 @@ class IrqQueue {
   /// queue costs O(size) words, not O(capacity). Restore rebases the window
   /// to slot 0; head position is representation, not state (FIFO order,
   /// counters, and the drop behavior are what's observable).
-  void snapshot_state(sim::StateWriter& w) const {
-    w.u64(capacity_);
-    w.u64(size_);
+  template <class Ar>
+  void state(Ar& ar) {
+    ar.expect(capacity_, "IrqQueue capacity");
+    ar(size_);
+    if constexpr (Ar::kLoading) {
+      if (size_ > capacity_) {
+        throw std::logic_error("IrqQueue snapshot: size exceeds capacity");
+      }
+      head_ = 0;
+    }
     const std::size_t first = capacity_ - head_ < size_ ? capacity_ - head_ : size_;
-    w.pod_span(slots_.data() + head_, first);
-    w.pod_span(slots_.data(), size_ - first);
-    w.u64(drops_);
-    w.u64(pushed_);
-    w.u64(high_watermark_);
-  }
-  void restore_state(sim::StateReader& r) {
-    if (r.u64() != capacity_) {
-      throw std::logic_error("IrqQueue::restore_state: capacity changed");
-    }
-    size_ = r.u64();
-    if (size_ > capacity_) {
-      throw std::logic_error("IrqQueue::restore_state: size exceeds capacity");
-    }
-    head_ = 0;
-    r.pod_span(slots_.data(), size_);
-    drops_ = r.u64();
-    pushed_ = r.u64();
-    high_watermark_ = r.u64();
+    ar.span(slots_.data() + head_, first);
+    ar.span(slots_.data(), size_ - first);
+    ar(drops_, pushed_, high_watermark_);
   }
 
  private:

@@ -56,19 +56,9 @@ class Partition {
   /// Checkpoint of the flat (word-serializable) state. The two WorkUnit
   /// optionals hold std::function completions, so the hypervisor snapshots
   /// them as C++ objects alongside this word stream.
-  void snapshot_state(sim::StateWriter& w) const {
-    irq_queue_.snapshot_state(w);
-    w.boolean(virtual_irq_enabled_);
-    w.pod(bh_time_);
-    w.pod(guest_time_);
-    w.u64(bh_completions_);
-  }
-  void restore_state(sim::StateReader& r) {
-    irq_queue_.restore_state(r);
-    virtual_irq_enabled_ = r.boolean();
-    bh_time_ = r.pod<sim::Duration>();
-    guest_time_ = r.pod<sim::Duration>();
-    bh_completions_ = r.u64();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(irq_queue_, virtual_irq_enabled_, bh_time_, guest_time_, bh_completions_);
   }
 
  private:

@@ -7,14 +7,12 @@
 // mechanism avionics software uses to detect stale producers.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "hv/types.hpp"
-#include "sim/state_io.hpp"
 
 namespace rthv::hv {
 
@@ -46,28 +44,11 @@ class SamplingPortBus {
 
   /// Checkpoint of each port's mutable value/counter state (port names and
   /// refresh periods are configuration).
-  void snapshot_state(sim::StateWriter& w) const {
-    w.u64(ports_.size());
-    for (const Port& p : ports_) {
-      w.boolean(p.written);
-      w.u64(p.writer);
-      w.u64(p.payload);
-      w.pod(p.written_at);
-      w.u64(p.write_count);
-      w.u64(p.read_count);
-    }
-  }
-  void restore_state(sim::StateReader& r) {
-    const std::uint64_t n = r.u64();
-    assert(n == ports_.size() && "SamplingPortBus port count changed across restore");
-    (void)n;
+  template <class Ar>
+  void state(Ar& ar) {
+    ar.expect(ports_.size(), "SamplingPortBus port count");
     for (Port& p : ports_) {
-      p.written = r.boolean();
-      p.writer = static_cast<PartitionId>(r.u64());
-      p.payload = r.u64();
-      p.written_at = r.pod<sim::TimePoint>();
-      p.write_count = r.u64();
-      p.read_count = r.u64();
+      ar(p.written, p.writer, p.payload, p.written_at, p.write_count, p.read_count);
     }
   }
 

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "hv/types.hpp"
-#include "sim/state_io.hpp"
 #include "sim/time.hpp"
 
 namespace rthv::hv {
@@ -50,15 +49,9 @@ class TdmaScheduler {
   [[nodiscard]] std::uint64_t cycles_completed() const { return cycles_; }
 
   /// Checkpoint of the schedule position (the slot table is static).
-  void snapshot_state(sim::StateWriter& w) const {
-    w.u64(index_);
-    w.pod(boundary_);
-    w.u64(cycles_);
-  }
-  void restore_state(sim::StateReader& r) {
-    index_ = r.u64();
-    boundary_ = r.pod<sim::TimePoint>();
-    cycles_ = r.u64();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(index_, boundary_, cycles_);
   }
 
  private:

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "sim/state_io.hpp"
 #include "sim/time.hpp"
 
 namespace rthv::hw {
@@ -71,13 +70,9 @@ class CpuModel {
   void reset_accounting();
 
   /// Checkpoint of the mutable accounting ledgers (clock config is static).
-  void snapshot_state(sim::StateWriter& w) const {
-    w.pod_span(cycles_.data(), cycles_.size());
-    w.pod_span(duration_ns_.data(), duration_ns_.size());
-  }
-  void restore_state(sim::StateReader& r) {
-    r.pod_span(cycles_.data(), cycles_.size());
-    r.pod_span(duration_ns_.data(), duration_ns_.size());
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(cycles_, duration_ns_);
   }
 
  private:

@@ -58,19 +58,9 @@ class HwTimer {
   /// Checkpoint of the arming state. The pending EventId round-trips as a
   /// value: the simulator snapshot preserves slot generations, so a restored
   /// id refers to exactly the queued expiry event it did at snapshot time.
-  void snapshot_state(sim::StateWriter& w) const {
-    w.pod(pending_);
-    w.boolean(armed_);
-    w.pod(deadline_);
-    w.pod(reload_);
-    w.u64(fires_);
-  }
-  void restore_state(sim::StateReader& r) {
-    pending_ = r.pod<sim::EventId>();
-    armed_ = r.boolean();
-    deadline_ = r.pod<sim::TimePoint>();
-    reload_ = r.pod<sim::Duration>();
-    fires_ = r.u64();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(pending_, armed_, deadline_, reload_, fires_);
   }
 
  private:
@@ -87,7 +77,7 @@ class HwTimer {
   sim::Duration reload_;  // zero = one-shot
   std::uint64_t fires_ = 0;
   std::function<void()> on_expiry_;  // lint: transient(owner wiring, re-established at system assembly)
-  DeadlineTransform deadline_transform_;  // lint: transient(fault wiring; ClockDriftInjector::restore_state re-installs it)
+  DeadlineTransform deadline_transform_;  // lint: transient(fault wiring; ClockDriftInjector::state re-installs it after a load)
 };
 
 /// Free-running timestamp source (the paper's "second timer" used for

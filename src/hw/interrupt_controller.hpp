@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "sim/state_io.hpp"
 #include "sim/time.hpp"
 
 namespace rthv::hw {
@@ -193,27 +192,14 @@ class InterruptController {
   /// sinks, observers, clock) is untouched; delivering_ is false whenever
   /// the simulator is between events, which is the only legal snapshot
   /// instant.
-  void snapshot_state(sim::StateWriter& w) const {
-    w.pod_vec(pending_);
-    w.pod_vec(enabled_);
-    w.pod_vec(direct_);
-    w.pod_vec(raise_time_);
-    w.pod_vec(lost_per_line_);
-    w.boolean(cpu_irq_enabled_);
-    w.u64(direct_deliveries_);
-    w.u64(raises_);
-    w.u64(lost_raises_);
-  }
-  void restore_state(sim::StateReader& r) {
-    r.pod_vec(pending_);
-    r.pod_vec(enabled_);
-    r.pod_vec(direct_);
-    r.pod_vec(raise_time_);
-    r.pod_vec(lost_per_line_);
-    cpu_irq_enabled_ = r.boolean();
-    direct_deliveries_ = r.u64();
-    raises_ = r.u64();
-    lost_raises_ = r.u64();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar.vec(pending_);
+    ar.vec(enabled_);
+    ar.vec(direct_);
+    ar.vec(raise_time_);
+    ar.vec(lost_per_line_);
+    ar(cpu_irq_enabled_, direct_deliveries_, raises_, lost_raises_);
   }
 
  private:

@@ -179,28 +179,4 @@ sim::Duration SharedInterconnect::route_delay(std::uint32_t from_core,
          charge_and_register(from_core, full_mask_, cfg_.route_accesses, now);
 }
 
-void SharedInterconnect::snapshot_state(sim::StateWriter& w) const {
-  w.u64(cur_epoch_);
-  w.pod_vec(prev_);
-  w.pod_vec(cur_);
-  w.pod_vec(window_);
-  w.pod_vec(used_);
-  w.pod(counters_);
-}
-
-void SharedInterconnect::restore_state(sim::StateReader& r) {
-  cur_epoch_ = r.u64();
-  r.pod_vec(prev_);
-  r.pod_vec(cur_);
-  r.pod_vec(window_);
-  r.pod_vec(used_);
-  if (prev_.size() != cur_.size() ||
-      prev_.size() != static_cast<std::size_t>(cfg_.num_cores) * cfg_.num_colors ||
-      window_.size() != cfg_.num_cores || used_.size() != cfg_.num_cores) {
-    throw std::logic_error(
-        "SharedInterconnect::restore_state: core/color population changed");
-  }
-  counters_ = r.pod<Counters>();
-}
-
 }  // namespace rthv::hw

@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/state_io.hpp"
 #include "sim/time.hpp"
 
 namespace rthv::hw {
@@ -129,8 +128,17 @@ class SharedInterconnect {
   // -- checkpoint/restore ---------------------------------------------------
   // Mutable accounting only (epoch frontier, demand tables, regulator
   // windows, counters); the configuration is structural.
-  void snapshot_state(sim::StateWriter& w) const;
-  void restore_state(sim::StateReader& r);
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(cur_epoch_);
+    // The tables are sized from the core/color population at construction;
+    // a restore keeps that population, so each length is expected.
+    for (std::vector<std::uint64_t>* table : {&prev_, &cur_, &window_, &used_}) {
+      ar.expect(table->size(), "SharedInterconnect core/color population");
+      ar.span(table->data(), table->size());
+    }
+    ar(counters_);
+  }
 
  private:
   /// Advances the epoch frontier to the epoch containing `now`.

@@ -71,20 +71,11 @@ class Platform {
   /// latches, timer arming). The timer population must match between
   /// snapshot and restore -- timers are structural, created at system
   /// configuration/startup, never mid-run.
-  void snapshot_state(sim::StateWriter& w) const {
-    cpu_.snapshot_state(w);
-    intc_.snapshot_state(w);
-    w.u64(timers_.size());
-    for (const auto& t : timers_) t->snapshot_state(w);
-  }
-  void restore_state(sim::StateReader& r) {
-    cpu_.restore_state(r);
-    intc_.restore_state(r);
-    const std::uint64_t n = r.u64();
-    if (n != timers_.size()) {
-      throw std::logic_error("Platform::restore_state: timer count mismatch");
-    }
-    for (auto& t : timers_) t->restore_state(r);
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(cpu_, intc_);
+    ar.expect(timers_.size(), "Platform timer count");
+    for (auto& t : timers_) ar(*t);
   }
 
  private:

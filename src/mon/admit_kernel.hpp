@@ -22,15 +22,8 @@
 
 // The build stays at the portable x86-64 baseline (no -march flags), which
 // has no 64-bit SIMD compare, so the AND-reduction loop compiles to tight
-// scalar code there. Where the toolchain supports per-function targets we
-// additionally emit an AVX2 instantiation of the same predicate and select
-// it at runtime; non-AVX2 hosts and other toolchains take the portable loop.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define RTHV_ADMIT_KERNEL_AVX2 1
-#include <immintrin.h>
-#else
-#define RTHV_ADMIT_KERNEL_AVX2 0
-#endif
+// scalar code there. No shipped configuration runs a delta^- vector deep
+// enough for a wider instantiation to pay for its out-of-line call.
 
 namespace rthv::mon {
 
@@ -74,47 +67,6 @@ inline bool admit_full_scalar(const std::int64_t* win_ns, const std::int64_t* de
   return true;
 }
 
-#if RTHV_ADMIT_KERNEL_AVX2
-namespace detail {
-inline const bool kHaveAvx2 = [] {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") != 0;
-}();
-}  // namespace detail
-
-/// AVX2 instantiation of the identical predicate: four lanes of
-/// (now - win[i]) >= delta[i] per 256-bit step, violations OR-accumulated,
-/// scalar tail for l % 4. Signed 64-bit subtract and compare match the
-/// portable loop operand-for-operand, so verdicts stay bit-identical.
-/// Only called after detail::kHaveAvx2 confirms hardware support.
-[[gnu::target("avx2")]] inline bool admit_full_vector_avx2(
-    const std::int64_t* win_ns, const std::int64_t* delta_ns, std::size_t l,
-    std::int64_t now_ns) {
-  const __m256i vnow = _mm256_set1_epi64x(now_ns);
-  __m256i violation = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= l; i += 4) {
-    const __m256i win =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(win_ns + i));
-    const __m256i delta =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(delta_ns + i));
-    violation = _mm256_or_si256(
-        violation, _mm256_cmpgt_epi64(delta, _mm256_sub_epi64(vnow, win)));
-  }
-  std::int64_t ok = _mm256_testz_si256(violation, violation);
-  for (; i < l; ++i) {
-    ok &= static_cast<std::int64_t>((now_ns - win_ns[i]) >= delta_ns[i]);
-  }
-  return ok != 0;
-}
-#endif  // RTHV_ADMIT_KERNEL_AVX2
-
-/// Below this window depth the inlined AND-reduction beats the AVX2 clone:
-/// the clone is a mandatory out-of-line call (per-function targets cannot
-/// inline into baseline callers) plus a vzeroupper on return, which costs
-/// more than ~16 lanes of scalar compare-and-accumulate.
-inline constexpr std::size_t kAvx2MinDepth = 16;
-
 /// Knob-dispatched full-window check used by the monitors' hot path.
 ///
 /// Lane 0 (the consecutive-event distance d_min) is the tightest constraint
@@ -130,11 +82,6 @@ inline bool admit_full(const std::int64_t* win_ns, const std::int64_t* delta_ns,
   if (admit_kernel() == AdmitKernel::kScalar) {
     return admit_full_scalar(win_ns + 1, delta_ns + 1, l - 1, now_ns);
   }
-#if RTHV_ADMIT_KERNEL_AVX2
-  if (l >= kAvx2MinDepth && detail::kHaveAvx2) {
-    return admit_full_vector_avx2(win_ns + 1, delta_ns + 1, l - 1, now_ns);
-  }
-#endif
   return admit_full_vector(win_ns + 1, delta_ns + 1, l - 1, now_ns);
 }
 

@@ -46,26 +46,20 @@ class LearningDeltaMonitor final : public ActivationMonitor {
     return learning_remaining_;
   }
 
-  void snapshot_state(sim::StateWriter& w) const override {
-    snapshot_base(w);
-    w.u64(learning_remaining_);
-    w.pod_vec(learned_);
-    w.pod_vec(enforced_);  // empty while learning, depth entries once running
-    w.pod_vec(tracebuffer_);
-    w.u64(count_);
-    w.u64(static_cast<std::uint64_t>(phase_));
-  }
-  void restore_state(sim::StateReader& r) override {
-    restore_base(r);
-    learning_remaining_ = r.u64();
-    r.pod_vec(learned_);
-    r.pod_vec(enforced_);
-    r.pod_vec(tracebuffer_);
-    count_ = r.u64();
-    phase_ = static_cast<Phase>(r.u64());
-  }
+  void visit(sim::StateWriter& ar) override { state(ar); }
+  void visit(sim::StateReader& ar) override { state(ar); }
 
  private:
+  template <class Ar>
+  void state(Ar& ar) {
+    ActivationMonitor::state(ar);
+    ar(learning_remaining_);
+    ar.vec(learned_);
+    ar.vec(enforced_);  // empty while learning, depth entries once running
+    ar.vec(tracebuffer_);
+    ar(count_, phase_);
+  }
+
   void learn(sim::TimePoint now);
   void finish_learning();
   void push(sim::TimePoint now);

@@ -63,30 +63,18 @@ class ActivationMonitor {
     return last_distance_;
   }
 
-  /// Checkpoint of the monitor's full mutable state (tracebuffer, counters,
-  /// warm-up progress). Derived classes append their state after the base
-  /// counters; writer and reader sequences must mirror each other exactly.
-  /// Snapshot/restore pairs must run on the same monitor configuration --
-  /// deltas, depths and windows are structural.
-  virtual void snapshot_state(sim::StateWriter& w) const { snapshot_base(w); }
-  virtual void restore_state(sim::StateReader& r) { restore_base(r); }
+  /// Checkpoint entry points of the monitor's full mutable state
+  /// (tracebuffer, counters, warm-up progress). Each derived class with
+  /// state of its own overrides both with a forward to its state(), which
+  /// visits the base counters first. Snapshot/restore must run on the same
+  /// monitor configuration -- deltas, depths and windows are structural.
+  virtual void visit(sim::StateWriter& ar) { state(ar); }
+  virtual void visit(sim::StateReader& ar) { state(ar); }
 
  protected:
-  void snapshot_base(sim::StateWriter& w) const {
-    w.u64(admitted_);
-    w.u64(denied_);
-    w.pod(last_arrival_);
-    w.pod(last_distance_);
-    w.boolean(has_distance_);
-    w.boolean(has_last_arrival_);
-  }
-  void restore_base(sim::StateReader& r) {
-    admitted_ = r.u64();
-    denied_ = r.u64();
-    last_arrival_ = r.pod<sim::TimePoint>();
-    last_distance_ = r.pod<sim::Duration>();
-    has_distance_ = r.boolean();
-    has_last_arrival_ = r.boolean();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(admitted_, denied_, last_arrival_, last_distance_, has_distance_, has_last_arrival_);
   }
   /// Implementations call this from record_and_check for every activation,
   /// admitted or not, *before* counting the verdict. Branch-free on purpose:
@@ -127,18 +115,16 @@ class DeltaMinMonitor final : public ActivationMonitor {
 
   [[nodiscard]] sim::Duration d_min() const { return d_min_; }
 
-  void snapshot_state(sim::StateWriter& w) const override {
-    snapshot_base(w);
-    w.boolean(has_previous_);
-    w.pod(previous_);
-  }
-  void restore_state(sim::StateReader& r) override {
-    restore_base(r);
-    has_previous_ = r.boolean();
-    previous_ = r.pod<sim::TimePoint>();
-  }
+  void visit(sim::StateWriter& ar) override { state(ar); }
+  void visit(sim::StateReader& ar) override { state(ar); }
 
  private:
+  template <class Ar>
+  void state(Ar& ar) {
+    ActivationMonitor::state(ar);
+    ar(has_previous_, previous_);
+  }
+
   sim::Duration d_min_;  // lint: transient(configured bound; never mutated after construction)
   bool has_previous_ = false;
   sim::TimePoint previous_;
@@ -185,20 +171,17 @@ class DeltaVectorMonitor final : public ActivationMonitor {
   /// Would an activation at `now` conform, without recording it?
   [[nodiscard]] bool peek(sim::TimePoint now) const;
 
-  void snapshot_state(sim::StateWriter& w) const override {
-    snapshot_base(w);
-    w.pod_span(win_ns_.data(), win_ns_.size());
-    w.u64(head_);
-    w.u64(count_);
-  }
-  void restore_state(sim::StateReader& r) override {
-    restore_base(r);
-    r.pod_span(win_ns_.data(), win_ns_.size());
-    head_ = r.u64();
-    count_ = r.u64();
-  }
+  void visit(sim::StateWriter& ar) override { state(ar); }
+  void visit(sim::StateReader& ar) override { state(ar); }
 
  private:
+  template <class Ar>
+  void state(Ar& ar) {
+    ActivationMonitor::state(ar);
+    ar.span(win_ns_.data(), win_ns_.size());
+    ar(head_, count_);
+  }
+
   /// Admission check against the current window (no recording). The warm-up
   /// phase (fewer than l recorded activations) walks the partial window
   /// scalar-wise; a full window dispatches on the process-wide kernel knob.

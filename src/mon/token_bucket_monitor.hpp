@@ -34,20 +34,16 @@ class TokenBucketMonitor final : public ActivationMonitor {
   /// Tokens that would be available at `now` (diagnostic; does not mutate).
   [[nodiscard]] std::uint32_t tokens_at(sim::TimePoint now) const;
 
-  void snapshot_state(sim::StateWriter& w) const override {
-    snapshot_base(w);
-    w.u64(tokens_);
-    w.pod(last_refill_);
-    w.boolean(started_);
-  }
-  void restore_state(sim::StateReader& r) override {
-    restore_base(r);
-    tokens_ = static_cast<std::uint32_t>(r.u64());
-    last_refill_ = r.pod<sim::TimePoint>();
-    started_ = r.boolean();
-  }
+  void visit(sim::StateWriter& ar) override { state(ar); }
+  void visit(sim::StateReader& ar) override { state(ar); }
 
  private:
+  template <class Ar>
+  void state(Ar& ar) {
+    ActivationMonitor::state(ar);
+    ar(tokens_, last_refill_, started_);
+  }
+
   void refill(sim::TimePoint now);
 
   sim::Duration fill_interval_;  // lint: transient(configured rate; never mutated after construction)

@@ -31,20 +31,17 @@ class WindowCountMonitor final : public ActivationMonitor {
   /// Admissions currently inside the window ending at `now`.
   [[nodiscard]] std::uint32_t in_window(sim::TimePoint now) const;
 
-  void snapshot_state(sim::StateWriter& w) const override {
-    snapshot_base(w);
-    w.pod_vec(admissions_);
-    w.u64(next_);
-    w.u64(stored_);
-  }
-  void restore_state(sim::StateReader& r) override {
-    restore_base(r);
-    r.pod_vec(admissions_);
-    next_ = r.u64();
-    stored_ = static_cast<std::uint32_t>(r.u64());
-  }
+  void visit(sim::StateWriter& ar) override { state(ar); }
+  void visit(sim::StateReader& ar) override { state(ar); }
 
  private:
+  template <class Ar>
+  void state(Ar& ar) {
+    ActivationMonitor::state(ar);
+    ar.vec(admissions_);
+    ar(next_, stored_);
+  }
+
   sim::Duration window_;  // lint: transient(configured window length; never mutated after construction)
   std::uint32_t max_;  // lint: transient(configured admission cap; never mutated after construction)
   // Ring of the last `max_` admission timestamps; the oldest relevant

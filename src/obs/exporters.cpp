@@ -25,7 +25,6 @@ std::string_view to_string(TraceCategory c) {
 
 std::string_view to_string(TracePoint p) {
   switch (p) {
-    case TracePoint::kLegacy: return "legacy";
     case TracePoint::kStart: return "start";
     case TracePoint::kSlotSwitch: return "slot-switch";
     case TracePoint::kSlotDeferred: return "slot-deferred";
@@ -171,7 +170,6 @@ class ChromeWriter {
       case TracePoint::kInterposeCharge:
         emit_instant(kMonitorTid, e);
         break;
-      case TracePoint::kLegacy:
       case TracePoint::kSlotDeferred:
       case TracePoint::kPartitionRestart:
       case TracePoint::kInterposeExitDeferred:

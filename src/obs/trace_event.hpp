@@ -28,8 +28,7 @@ inline constexpr std::uint32_t kNoId = UINT32_MAX;
 /// (e.g. the monitor's observed distance before two activations exist).
 inline constexpr std::uint64_t kNoValue = UINT64_MAX;
 
-/// Coarse event category. Values map 1:1 onto the legacy string TraceLog's
-/// categories; sim::TraceCategory is an alias of this enum.
+/// Coarse event category.
 enum class TraceCategory : std::uint8_t {
   kIrq,         // hardware IRQ queue traffic (push/pop/drop)
   kTopHandler,  // hypervisor top-handler activity
@@ -38,14 +37,13 @@ enum class TraceCategory : std::uint8_t {
   kInterpose,   // interposed bottom-handler execution
   kBottom,      // bottom-handler execution
   kGuest,       // guest OS activity
-  kOther,       // health events, legacy string records
+  kOther,       // health events
   kFault,       // fault-injection engine activity (src/fault)
   kCount_,
 };
 
 /// Precise instrumentation point. arg0/arg1 meanings are noted per point.
 enum class TracePoint : std::uint8_t {
-  kLegacy,            // routed through the deprecated string TraceLog API
   kStart,             // hypervisor start(); partition = initial slot owner
   kSlotSwitch,        // TDMA switch; arg0 = new slot index, arg1 = cycles done
   kSlotDeferred,      // boundary deferred by a running bottom handler
@@ -85,7 +83,7 @@ enum class InterposeDenyReason : std::uint8_t {
 /// One 40-byte binary trace record.
 struct TraceEvent {
   std::int64_t time_ns = 0;
-  TracePoint point = TracePoint::kLegacy;
+  TracePoint point = TracePoint::kStart;
   TraceCategory category = TraceCategory::kOther;
   std::uint16_t reserved0 = 0;  // explicit padding, always zero
   std::uint32_t partition = kNoId;

@@ -53,13 +53,9 @@ class Xoshiro256 {
   /// Standard normal via Box-Muller (no state caching; two uniforms/call).
   double normal(double mean, double stddev);
 
-  /// Raw generator state, for snapshot/restore. A generator with a restored
-  /// state continues the exact stream it was snapshotted from.
-  using State = std::array<std::uint64_t, 4>;
-  [[nodiscard]] State state() const { return s_; }
-  void set_state(const State& s) { s_ = s; }
-
  private:
+  // The whole generator is this trivially copyable array, so checkpoints
+  // copy it as one value; a restored copy continues the exact stream.
   std::array<std::uint64_t, 4> s_{};
 };
 

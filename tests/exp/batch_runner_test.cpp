@@ -222,7 +222,7 @@ std::vector<std::string> run_system_sweep(std::size_t jobs) {
   BatchRunner runner(BatchOptions{.jobs = jobs, .chunk = 1});
   return runner.map(6, [](std::size_t i) {
     core::HypervisorSystem system(monitored_config());
-    system.hypervisor().trace_log().set_enabled(true);
+    system.hypervisor().trace_ring().set_enabled(true);
     workload::ExponentialTraceGenerator gen(
         sim::Duration::us(400 + 150 * static_cast<std::int64_t>(i)),
         derive_seed(42, i), sim::Duration::us(100));
@@ -230,7 +230,7 @@ std::vector<std::string> run_system_sweep(std::size_t jobs) {
     system.run(sim::Duration::s(10));
     std::ostringstream os;
     system.recorder().write_summary(os);
-    os << '\n' << system.hypervisor().trace_log().render();
+    os << '\n' << obs::render_text(system.hypervisor().trace_ring().snapshot());
     return os.str();
   });
 }

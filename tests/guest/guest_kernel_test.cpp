@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "sim/state_io.hpp"
+
 namespace rthv::guest {
 namespace {
 
@@ -349,6 +353,23 @@ TEST(GuestKernelTest, EventDrivenWakesPartition) {
   EXPECT_EQ(wakes, 1);
   k.activate(id);  // backlog: no extra wake needed, work already runnable
   EXPECT_EQ(wakes, 1);
+}
+
+TEST(GuestKernelTest, RestoreOntoDifferentTaskCountThrows) {
+  // The task set is structural: a snapshot restores only onto a kernel with
+  // the same task count, checked in every build type.
+  sim::Simulator sim;
+  GuestTaskConfig bg;
+  bg.name = "bg";
+  bg.budget = Duration::us(100);
+  bg.period = Duration::zero();
+  GuestKernel two(sim, "two");
+  GuestKernel three(sim, "three");
+  for (int i = 0; i < 2; ++i) two.add_task(bg);
+  for (int i = 0; i < 3; ++i) three.add_task(bg);
+  const auto words = sim::save_words(two);
+  EXPECT_THROW(sim::load_words(words, three, "GuestKernel"), std::logic_error);
+  EXPECT_NO_THROW(sim::load_words(words, two, "GuestKernel"));
 }
 
 }  // namespace

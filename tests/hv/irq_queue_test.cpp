@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/state_io.hpp"
+
 namespace rthv::hv {
 namespace {
 
@@ -119,17 +121,13 @@ TEST(IrqQueueTest, SnapshotRoundTripRestoresRingAndCounters) {
   q.pop();
   for (std::uint64_t seq = 4; seq <= 8; ++seq) q.push(event(seq));  // 3 drops
 
-  sim::StateWriter w;
-  q.snapshot_state(w);
-  const std::vector<std::uint64_t> words = w.take();
+  const std::vector<std::uint64_t> words = sim::save_words(q);
 
   // Mutate past the checkpoint, then restore and verify bit-exact state.
   q.pop();
   q.pop();
   q.push(event(99));
-  sim::StateReader r(words);
-  q.restore_state(r);
-  EXPECT_TRUE(r.exhausted());
+  sim::load_words(words, q, "IrqQueue");  // throws unless fully consumed
   EXPECT_EQ(q.size(), 4u);
   EXPECT_EQ(q.drops(), 3u);
   EXPECT_EQ(q.total_pushed(), 5u);
@@ -145,13 +143,10 @@ TEST(IrqQueueTest, RestoreOntoDifferentCapacityThrows) {
   // match the restoring queue's in every build type, not just under assert.
   IrqQueue small(2);
   small.push(event(1));
-  sim::StateWriter w;
-  small.snapshot_state(w);
-  const std::vector<std::uint64_t> words = w.take();
+  const std::vector<std::uint64_t> words = sim::save_words(small);
 
   IrqQueue big(8);
-  sim::StateReader r(words);
-  EXPECT_THROW(big.restore_state(r), std::logic_error);
+  EXPECT_THROW(sim::load_words(words, big, "IrqQueue"), std::logic_error);
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "hv/hypervisor.hpp"
 #include "hw/platform.hpp"
 #include "sim/simulator.hpp"
+#include "sim/state_io.hpp"
 
 namespace rthv::hv {
 namespace {
@@ -113,6 +116,19 @@ TEST(SamplingPortHypercallTest, WriterPartitionStampedThroughHypervisor) {
   // The writer refreshes every cycle (2ms) within the 3ms period: all fresh.
   EXPECT_GT(reader.fresh_reads, 3u);
   EXPECT_EQ(reader.stale_reads, 0u);
+}
+
+TEST(SamplingPortBusTest, RestoreOntoDifferentPortCountThrows) {
+  // Ports are configuration: a snapshot restores only onto a bus with the
+  // same port count, checked in every build type.
+  SamplingPortBus two;
+  SamplingPortBus three;
+  for (int i = 0; i < 2; ++i) two.create_port("p", Duration::ms(10));
+  for (int i = 0; i < 3; ++i) three.create_port("p", Duration::ms(10));
+  two.write(0, 1, 100, TimePoint::at_us(10));
+  const auto words = sim::save_words(two);
+  EXPECT_THROW(sim::load_words(words, three, "SamplingPortBus"), std::logic_error);
+  EXPECT_NO_THROW(sim::load_words(words, two, "SamplingPortBus"));
 }
 
 }  // namespace

@@ -145,16 +145,13 @@ TEST(SharedInterconnectTest, SnapshotRestoreRoundTrips) {
   icx.register_demand(1, 0x00F0u, 900, TimePoint::at_us(20));
   (void)icx.route_delay(1, 0, TimePoint::at_us(30));
 
-  sim::StateWriter w;
-  icx.snapshot_state(w);
-  const auto words = w.take();
+  const auto words = sim::save_words(icx);
 
   // Mutate, then restore: accounting must return to the snapshot exactly.
   icx.register_demand(1, 0, 5000, TimePoint::at_us(340));
   (void)icx.contention_stall(0, 0, 100, TimePoint::at_us(350));
 
-  sim::StateReader r(words);
-  icx.restore_state(r);
+  sim::load_words(words, icx, "SharedInterconnect");
   EXPECT_EQ(icx.counters().routes, 1u);
   EXPECT_EQ(icx.counters().accesses_registered, 700u + 900u + 8u);
   icx.register_demand(0, 0, 0, TimePoint::at_us(110));  // roll to epoch 1

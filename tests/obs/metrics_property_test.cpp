@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/exporters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_ring.hpp"
 
@@ -77,7 +78,7 @@ TEST(TraceRingTest, DropInvariantHoldsAtEveryStep) {
     ring.set_enabled(true);
     const std::uint64_t n = 3 * capacity + rng() % 10;
     for (std::uint64_t t = 0; t < n; ++t) {
-      ring.emit(static_cast<std::int64_t>(t), TracePoint::kLegacy,
+      ring.emit(static_cast<std::int64_t>(t), TracePoint::kHealth,
                 TraceCategory::kOther);
       ASSERT_EQ(ring.dropped(), ring.emitted() - ring.size());
     }
@@ -87,13 +88,28 @@ TEST(TraceRingTest, DropInvariantHoldsAtEveryStep) {
 TEST(TraceRingTest, ClearKeepsEnabledAndCapacity) {
   TraceRing ring(4);
   ring.set_enabled(true);
-  ring.emit(1, TracePoint::kLegacy, TraceCategory::kOther);
+  ring.emit(1, TracePoint::kHealth, TraceCategory::kOther);
   ring.clear();
   EXPECT_TRUE(ring.enabled());
   EXPECT_EQ(ring.capacity(), 4u);
   EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.emitted(), 0u);
   EXPECT_EQ(ring.category_count(TraceCategory::kOther), 0u);
+}
+
+TEST(TraceRingTest, RenderTextShowsCategoryAndTime) {
+  TraceRing ring(4);
+  ring.set_enabled(true);
+  ring.emit(5000, TracePoint::kSlotSwitch, TraceCategory::kScheduler);
+  const std::string text = render_text(ring.snapshot());
+  EXPECT_NE(text.find("[sched]"), std::string::npos);
+  EXPECT_NE(text.find("t=5000"), std::string::npos);
+}
+
+TEST(TraceRingTest, CategoryNamesAreDistinct) {
+  EXPECT_EQ(to_string(TraceCategory::kIrq), "irq");
+  EXPECT_EQ(to_string(TraceCategory::kInterpose), "interpose");
+  EXPECT_NE(to_string(TraceCategory::kTopHandler), to_string(TraceCategory::kBottom));
 }
 
 // --- metrics ----------------------------------------------------------------

@@ -62,9 +62,8 @@ echo "== ASan + UBSan: rthv_hunt smoke =="
   --jobs 2 --expect-finding > /dev/null
 
 # The randomized batched-vs-scalar admission differential is the designated
-# sanitizer workout for the SIMD admit kernels: random windows and random
-# batch splits under ASan/UBSan probe every load the AND-reduction and the
-# AVX2 clone perform.
+# sanitizer workout for the admit kernels: random windows and random batch
+# splits under ASan/UBSan probe every load the AND-reduction performs.
 echo "== ASan + UBSan: admission-kernel differential =="
 ctest --test-dir build-asan --output-on-failure -R 'AdmitKernelDifferentialTest' -j "$jobs"
 

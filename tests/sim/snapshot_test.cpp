@@ -7,18 +7,23 @@
 // by cancel(). The randomized differential drives events through every
 // queue tier (sparse due list, all wheel levels, the far-future heap) and
 // across the top-level 2^36-tick window boundary where far-heap refills
-// kick in.
+// kick in. The StateIoTest cases at the end pin the sim/state_io.hpp
+// archives that the components' state() visitors stream through.
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <deque>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/random.hpp"
+#include "sim/state_io.hpp"
 
 namespace rthv::sim {
 namespace {
@@ -240,6 +245,88 @@ TEST(SimulatorSnapshotTest, SnapshotOfRestoredStateIsEquivalent) {
   log.clear();
   s.run();
   EXPECT_EQ(log, from_first);
+}
+
+// --- state_io archives -------------------------------------------------------
+
+// One state() visited by both archives: every vocabulary call round-trips.
+struct ArchiveProbe {
+  std::uint32_t narrow = 0;
+  bool flag = false;
+  TimePoint at;
+  std::vector<std::int64_t> vec;
+  std::deque<std::uint64_t> ring;
+  std::array<std::uint16_t, 3> span{};
+  std::optional<Duration> maybe;
+  std::size_t slots = 2;
+
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(narrow, flag, at);
+    ar.vec(vec);
+    ar.vec(ring);
+    ar.span(span.data(), span.size());
+    ar.opt(maybe);
+    ar.expect(slots, "probe slot count");
+  }
+};
+
+TEST(StateIoTest, OneStateFunctionRoundTripsEveryVocabularyCall) {
+  ArchiveProbe a;
+  a.narrow = 0xFFFF'FFFFu;
+  a.flag = true;
+  a.at = TimePoint::at_us(7);
+  a.vec = {-1, 2, 3};
+  a.ring = {4, 5};
+  a.span = {6, 7, 8};
+  a.maybe = Duration::ns(9);
+  const std::vector<std::uint64_t> words = save_words(a);
+  // Sub-word fields occupy zero-padded words: the narrow field reads back
+  // as the word 0xFFFF'FFFF, a bool as 1.
+  EXPECT_EQ(words[0], 0xFFFF'FFFFu);
+  EXPECT_EQ(words[1], 1u);
+
+  ArchiveProbe b;
+  b.maybe.reset();
+  b.vec = {42};
+  load_words(words, b, "ArchiveProbe");
+  EXPECT_EQ(b.narrow, a.narrow);
+  EXPECT_EQ(b.flag, a.flag);
+  EXPECT_EQ(b.at, a.at);
+  EXPECT_EQ(b.vec, a.vec);
+  EXPECT_EQ(b.ring, a.ring);
+  EXPECT_EQ(b.span, a.span);
+  EXPECT_EQ(b.maybe, a.maybe);
+}
+
+TEST(StateIoTest, ExpectMismatchAndLeftoverWordsThrowLogicError) {
+  ArchiveProbe a;
+  std::vector<std::uint64_t> words = save_words(a);
+  ArchiveProbe other;
+  other.slots = 3;
+  EXPECT_THROW(load_words(words, other, "ArchiveProbe"), std::logic_error);
+  words.push_back(0);
+  ArchiveProbe same;
+  EXPECT_THROW(load_words(words, same, "ArchiveProbe"), std::logic_error);
+}
+
+TEST(StateIoTest, TruncatedStreamThrowsOutOfRange) {
+  ArchiveProbe a;
+  a.vec = {1, 2, 3};
+  std::vector<std::uint64_t> words = save_words(a);
+  words.resize(4);
+  ArchiveProbe b;
+  EXPECT_THROW(load_words(words, b, "ArchiveProbe"), std::out_of_range);
+}
+
+TEST(StateIoTest, VectorCountBeyondStreamThrowsBeforeResizing) {
+  // A corrupted length word larger than max_size(): the reader must reject
+  // it against the words left instead of handing it to resize().
+  const std::vector<std::uint64_t> words{std::numeric_limits<std::uint64_t>::max()};
+  StateReader r(words);
+  std::vector<std::uint64_t> v;
+  EXPECT_THROW(r.vec(v), std::out_of_range);
+  EXPECT_TRUE(v.empty());
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
-// Out-of-line snapshot pair: the declaration parser must associate these
-// bodies with the class model built from the header.
+// Out-of-line state() visitor: the declaration parser must associate this
+// template body with the class model built from the header.
 #include "hv/snapshot_fixtures.hpp"
 
 namespace fix {
 
-void OutOfLine::snapshot_state(Writer& w) const { w.u64(covered_); }
+template <class Ar>
+void OutOfLine::state(Ar& ar) {
+  ar(covered_);
+}
 
-void OutOfLine::restore_state(Reader& r) { covered_ = r.u64(); }
+template void OutOfLine::state(Archive& ar);
 
 }  // namespace fix

@@ -1,7 +1,7 @@
-// Seeded snapshot-coverage / snapshot-order fixtures. Each intentional
-// violation carries a `rthv-lint-expect:` annotation; the classes without
-// annotations prove the rules stay quiet on covered, waived, helper-inlined
-// and #if-guarded members.
+// Seeded snapshot-coverage fixtures. Each intentional violation carries a
+// `rthv-lint-expect:` annotation; the classes without annotations prove the
+// rule stays quiet on covered, waived, helper-inlined and #if-guarded
+// members, and on post-load fix-ups that make no archive call.
 #pragma once
 
 #include <cstdint>
@@ -10,27 +10,21 @@
 
 namespace fix {
 
-// Minimal stand-ins for sim::StateWriter / sim::StateReader.
-struct Writer {
-  void u64(std::uint64_t v) { words.push_back(v); }
-  std::vector<std::uint64_t> words;
-};
-struct Reader {
-  std::uint64_t u64() { return words[pos++]; }
-  std::vector<std::uint64_t> words;
-  std::size_t pos = 0;
+// Minimal stand-in for sim::StateWriter / sim::StateReader: both archives
+// visit the same state() function.
+struct Archive {
+  static constexpr bool kLoading = true;
+  template <class... Ts>
+  void operator()(Ts&... /*fields*/) {}
+  void expect(std::uint64_t /*n*/, const char* /*what*/) {}
 };
 
-// A data member never referenced by either side of the pair.
-class MissedBoth {
+// A data member the state() visitor never references.
+class Missed {
  public:
-  void snapshot_state(Writer& w) const {
-    w.u64(a_);
-    w.u64(b_);
-  }
-  void restore_state(Reader& r) {
-    a_ = r.u64();
-    b_ = r.u64();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(a_, b_);
   }
 
  private:
@@ -39,56 +33,14 @@ class MissedBoth {
   std::uint64_t forgotten_ = 0;  // rthv-lint-expect: snapshot-coverage
 };
 
-// Referenced by the writer but never read back.
-class WriterOnly {
+// The writer/reader order mismatch the old paired code allowed cannot be
+// written any more: one function lists the members once, for both
+// directions. Nothing to report.
+class OneVisitorOneOrder {
  public:
-  void snapshot_state(Writer& w) const {
-    w.u64(kept_);
-    w.u64(write_only_);
-  }
-  void restore_state(Reader& r) { kept_ = r.u64(); }
-
- private:
-  std::uint64_t kept_ = 0;
-  std::uint64_t write_only_ = 0;  // rthv-lint-expect: snapshot-coverage
-};
-
-// Read back but never written -- the stream underruns at runtime.
-class ReaderOnly {
- public:
-  void snapshot_state(Writer& w) const { w.u64(kept_); }
-  void restore_state(Reader& r) {
-    kept_ = r.u64();
-    read_only_ = r.u64();
-  }
-
- private:
-  std::uint64_t kept_ = 0;
-  std::uint64_t read_only_ = 0;  // rthv-lint-expect: snapshot-coverage
-};
-
-// A transient waiver without a reason is itself a violation.
-class EmptyReason {
- public:
-  void snapshot_state(Writer& w) const { w.u64(kept_); }
-  void restore_state(Reader& r) { kept_ = r.u64(); }
-
- private:
-  std::uint64_t kept_ = 0;
-  std::uint64_t cache_ = 0;  // lint: transient()  rthv-lint-expect: snapshot-coverage
-};
-
-// Writer and reader cover the same members but in different orders: the
-// positional word stream silently swaps the two values.
-class Swapped {
- public:
-  void snapshot_state(Writer& w) const {  // rthv-lint-expect: snapshot-order
-    w.u64(x_);
-    w.u64(y_);
-  }
-  void restore_state(Reader& r) {
-    y_ = r.u64();
-    x_ = r.u64();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(x_, y_);
   }
 
  private:
@@ -96,53 +48,99 @@ class Swapped {
   std::uint64_t y_ = 0;
 };
 
-// Clean: helper-method bodies are inlined into the coverage analysis
-// (snapshot_base/restore_base style), a reasoned transient waiver excludes
-// wiring, template members and an #if-guarded member round-trip normally,
-// and a reference member is exempt by type.
+// A transient waiver without a reason is itself a violation.
+class EmptyReason {
+ public:
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(kept_);
+  }
+
+ private:
+  std::uint64_t kept_ = 0;
+  std::uint64_t cache_ = 0;  // lint: transient()  rthv-lint-expect: snapshot-coverage
+};
+
+// An archive call inside a load-only branch: the reader consumes a word the
+// writer never emitted.
+class LoadOnlyArchiveCall {
+ public:
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(size_);
+    if constexpr (Ar::kLoading) {
+      ar(extra_);  // rthv-lint-expect: snapshot-coverage
+    }
+  }
+
+ private:
+  std::uint64_t size_ = 0;
+  std::uint64_t extra_ = 0;
+};
+
+// Clean: helper-method bodies are inlined into the coverage analysis, a
+// post-load fix-up without archive calls is allowed, a reasoned transient
+// waiver excludes wiring, template members and an #if-guarded member
+// round-trip normally, and a reference member is exempt by type.
 class CleanHelper {
  public:
-  void snapshot_state(Writer& w) const {
-    snapshot_base(w);
-    w.u64(static_cast<std::uint64_t>(pairs_.size()));
+  template <class Ar>
+  void state(Ar& ar) {
+    counters(ar);
+    ar.expect(pairs_.size(), "pair count");
+    if constexpr (Ar::kLoading) {
+      cursor_ = 0;
+    }
 #if defined(FIX_EXTRA)
-    w.u64(extra_);
-#endif
-  }
-  void restore_state(Reader& r) {
-    restore_base(r);
-    pairs_.resize(r.u64());
-#if defined(FIX_EXTRA)
-    extra_ = r.u64();
+    ar(extra_);
 #endif
   }
 
  private:
-  void snapshot_base(Writer& w) const { w.u64(count_); }
-  void restore_base(Reader& r) { count_ = r.u64(); }
+  template <class Ar>
+  void counters(Ar& ar) {
+    ar(count_);
+  }
 
   std::uint64_t count_ = 0;
   std::vector<std::pair<int, int>> pairs_;
+  std::uint64_t cursor_ = 0;
   void (*hook_)() = nullptr;  // lint: transient(owner wiring, re-established at assembly)
-  Writer& sink_;
+  Archive& sink_;
 #if defined(FIX_EXTRA)
   std::uint64_t extra_ = 0;
 #endif
 
  public:
-  explicit CleanHelper(Writer& sink) : sink_(sink) {}
+  explicit CleanHelper(Archive& sink) : sink_(sink) {}
 };
 
-// The pair is defined out of line (see snapshot_fixtures.cpp); the member
-// missed there is still reported here, at its declaration.
+// The visitor is defined out of line (see snapshot_fixtures.cpp); the
+// member missed there is still reported here, at its declaration.
 class OutOfLine {
  public:
-  void snapshot_state(Writer& w) const;
-  void restore_state(Reader& r);
+  template <class Ar>
+  void state(Ar& ar);
 
  private:
   std::uint64_t covered_ = 0;
   std::uint64_t skipped_ = 0;  // rthv-lint-expect: snapshot-coverage
+};
+
+// Whole-object snapshot()/restore() pair (the event queue / simulator
+// shape, no word stream): a member must appear in both bodies.
+class WholeObjectPair {
+ public:
+  struct Snapshot {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+  };
+  [[nodiscard]] Snapshot snapshot() const { return Snapshot{a_, b_}; }
+  void restore(const Snapshot& s) { a_ = s.a; }
+
+ private:
+  std::uint64_t a_ = 0;
+  std::uint64_t b_ = 0;  // rthv-lint-expect: snapshot-coverage
 };
 
 }  // namespace fix

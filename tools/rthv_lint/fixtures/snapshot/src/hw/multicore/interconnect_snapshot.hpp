@@ -1,8 +1,8 @@
 // Seeded snapshot-coverage fixture for the multi-core interconnect shape:
 // a class with epoch-bucketed accounting whose regulator window escapes the
-// snapshot pair. The covered twin below proves the rule stays quiet on the
-// real layout (config waived as structural, all mutable accounting
-// serialized in order).
+// state() visitor. The covered twin below proves the rule stays quiet on
+// the real layout (config waived as structural, all mutable accounting
+// visited).
 #pragma once
 
 #include <cstddef>
@@ -11,29 +11,14 @@
 
 namespace fix_mc {
 
-// Minimal stand-ins for sim::StateWriter / sim::StateReader.
-struct Writer {
-  void u64(std::uint64_t v) { words.push_back(v); }
-  std::vector<std::uint64_t> words;
-};
-struct Reader {
-  std::uint64_t u64() { return words[pos++]; }
-  std::vector<std::uint64_t> words;
-  std::size_t pos = 0;
-};
-
-// The regulator window index is mutable accounting, but neither side of the
-// pair touches it: a restored system silently resumes with the pre-restore
+// The regulator window index is mutable accounting, but state() never
+// touches it: a restored system silently resumes with the pre-restore
 // window and grants the wrong budget.
 class InterconnectMissesWindow {
  public:
-  void snapshot_state(Writer& w) const {
-    w.u64(cur_epoch_);
-    w.u64(demand_);
-  }
-  void restore_state(Reader& r) {
-    cur_epoch_ = r.u64();
-    demand_ = r.u64();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(cur_epoch_, demand_);
   }
 
  private:
@@ -42,18 +27,13 @@ class InterconnectMissesWindow {
   std::uint64_t window_ = 0;  // rthv-lint-expect: snapshot-coverage
 };
 
-// Covered twin: full pair plus a structural-config waiver; must stay quiet.
+// Covered twin: every accounting member visited plus a structural-config
+// waiver; must stay quiet.
 class InterconnectCovered {
  public:
-  void snapshot_state(Writer& w) const {
-    w.u64(cur_epoch_);
-    w.u64(demand_);
-    w.u64(window_);
-  }
-  void restore_state(Reader& r) {
-    cur_epoch_ = r.u64();
-    demand_ = r.u64();
-    window_ = r.u64();
+  template <class Ar>
+  void state(Ar& ar) {
+    ar(cur_epoch_, demand_, window_);
   }
 
  private:

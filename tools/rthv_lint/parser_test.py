@@ -249,19 +249,22 @@ class OutOfLineTest(unittest.TestCase):
         code = """
         class A {
          public:
-          void snapshot_state(W& w) const;
+          template <class Ar>
+          void state(Ar& ar);
          private:
           int v_;
         };
-        void A::snapshot_state(W& w) const { w.u64(v_); }
+        template <class Ar>
+        void A::state(Ar& ar) { ar(v_); }
         """
         m = parse(code)
         prog = rthv_lint.ProgramModel()
         prog.add(m)
         prog.link()
         cls = only_class(m, "A")
-        self.assertIsNotNone(cls.methods["snapshot_state"].body)
-        body_ids = [t.text for t in cls.methods["snapshot_state"].body
+        self.assertIsNotNone(cls.methods["state"].body)
+        self.assertEqual(cls.methods["state"].params, ["ar"])
+        body_ids = [t.text for t in cls.methods["state"].body
                     if t.kind == "id"]
         self.assertIn("v_", body_ids)
 

@@ -28,8 +28,7 @@ Two layers:
                        on Duration/TimePoint quantities inside
                        src/analysis/; use core/checked.hpp.
   banned-include       <chrono> banned in deterministic layers, <iostream>
-                       banned in library code, <immintrin.h> confined to
-                       src/mon/admit_kernel.hpp.
+                       and <immintrin.h> banned in library code.
   header-hygiene       Headers start with #pragma once (or a guard) and
                        never contain 'using namespace'.
   det-address-seed     No address-derived values feeding results or seeds:
@@ -43,20 +42,21 @@ Two layers:
   including out-of-line definitions -- for every class in the scanned
   tree; free-function/method signatures are collected for call checking):
 
-  snapshot-coverage    Any class defining the snapshot_state/restore_state
-                       pair (or the StateWriter-less snapshot()/restore()
-                       pair) must reference every non-static, non-const,
-                       non-reference data member in BOTH bodies. A member
-                       that is deliberately not checkpointed carries a
+  snapshot-coverage    Any class defining the checkpoint visitor
+                       `template <class Ar> void state(Ar&)` (same-class
+                       helpers it calls inlined) must reference every
+                       non-static, non-const, non-reference data member in
+                       it -- or, for the whole-object snapshot()/restore()
+                       pair, in both of those bodies. A member that is
+                       deliberately not checkpointed carries a
                        `// lint: transient(<reason>)` waiver on (or right
                        above) its declaration; an empty reason is itself a
-                       violation. Forgetting this is exactly how PR 7's
+                       violation. The rule also flags an archive call
+                       inside a one-direction `if constexpr (Ar::kLoading)`
+                       branch, the one way left to make the writer and the
+                       reader disagree. Forgetting a member is how the
                        full-state checkpoint contract rots: one new field
                        and hunt/sweep replays silently diverge.
-  snapshot-order       The serialized members must appear in the same
-                       order in the writer and the reader -- StateReader
-                       streams are positional, so a swapped pair corrupts
-                       every later field while still parsing.
   det-unordered-iter   No iteration (range-for, .begin()) over
                        unordered_map/unordered_set in result-affecting
                        code: bucket order is hash-seed and load-factor
@@ -79,7 +79,7 @@ Waivers: a comment `rthv-lint: allow(rule-id)` (comma-separated list, or
 `allow(*)`) on the offending line or the line directly above suppresses the
 named rules for that line. Members that are deliberately not part of the
 checkpoint use `// lint: transient(<reason>)` instead, which waives
-snapshot-coverage/snapshot-order for that member while recording why.
+snapshot-coverage for that member while recording why.
 Waivers are deliberate, reviewable markers -- prefer fixing the code.
 
 Self-test: `rthv_lint.py --self-test` scans every fixture tree under
@@ -1101,9 +1101,10 @@ BANNED_INCLUDES = [
     ("iostream", ("src/",), ("src/exp/",),
      "library code must not pull in iostream (static-init order, stray "
      "output); take std::ostream& or use <iosfwd>"),
-    ("immintrin.h", ("src/",), ("src/mon/admit_kernel.hpp",),
-     "SIMD intrinsics are confined to the admission-kernel header, which "
-     "pairs every intrinsic path with its bit-identical scalar reference"),
+    ("immintrin.h", ("src/",), (),
+     "no hand-written SIMD intrinsics in library code: the portable "
+     "kernels auto-vectorize and stay bit-identical to their scalar "
+     "references"),
 ]
 
 
@@ -1149,13 +1150,18 @@ def check_header_hygiene(src: SourceFile, ctx: LintContext):
 # Semantic rules: snapshot coverage / order
 # ---------------------------------------------------------------------------
 
-SNAPSHOT_PAIRS = [("snapshot_state", "restore_state"), ("snapshot", "restore")]
+# The one checkpoint visitor, and the whole-object snapshot pair kept by the
+# classes whose state is not a word stream (the event queue, the simulator,
+# the metrics registry) or only partly one (the hypervisor's work units and
+# trace ring).
+STATE_FN = "state"
+SNAPSHOT_PAIR = ("snapshot", "restore")
 
 
 def _flatten_body(cls: ClassModel, body: list[Tok],
                   visited: set[str]) -> list[Tok]:
-    """Body tokens plus the bodies of same-class helper methods it calls
-    (snapshot_base / restore_base style), transitively."""
+    """Body tokens plus the bodies of same-class helper methods it calls,
+    transitively."""
     out = list(body)
     for k, t in enumerate(body):
         if (t.kind == "id" and k + 1 < len(body)
@@ -1170,40 +1176,99 @@ def _flatten_body(cls: ClassModel, body: list[Tok],
     return out
 
 
-def _first_refs(members: list[Member], body: list[Tok]) -> dict[str, int]:
-    """Member name -> index of first reference in the token body."""
+def _refs(members: list[Member], body: list[Tok]) -> set[str]:
     names = {m.name for m in members}
-    refs: dict[str, int] = {}
-    for k, t in enumerate(body):
-        if t.kind == "id" and t.text in names and t.text not in refs:
-            refs[t.text] = k
-    return refs
+    return {t.text for t in body if t.kind == "id" and t.text in names}
 
 
-def _snapshot_pair(cls: ClassModel) -> Optional[tuple[Method, Method]]:
-    for wname, rname in SNAPSHOT_PAIRS:
-        w = cls.methods.get(wname)
-        r = cls.methods.get(rname)
-        if w and r and w.body and r.body:
-            return w, r
-    return None
+def _block_end(body: list[Tok], open_idx: int) -> int:
+    """Index of the token closing the bracket opened at body[open_idx]."""
+    pairs = {"(": ")", "{": "}"}
+    opener = body[open_idx].text
+    depth = 0
+    for k in range(open_idx, len(body)):
+        if body[k].text == opener:
+            depth += 1
+        elif body[k].text == pairs[opener]:
+            depth -= 1
+            if depth == 0:
+                return k
+    return len(body) - 1
+
+
+def _one_direction_blocks(body: list[Tok]) -> Iterable[tuple[int, int]]:
+    """(start, end) token ranges of the branches of every
+    `if constexpr (... kLoading ...)`: code that runs in one direction only."""
+    for k in range(len(body) - 2):
+        if not (body[k].text == "if" and body[k + 1].text == "constexpr"
+                and body[k + 2].text == "("):
+            continue
+        cond_end = _block_end(body, k + 2)
+        if not any(t.text == "kLoading" for t in body[k + 2:cond_end]):
+            continue
+        branch = cond_end + 1
+        while branch < len(body):
+            if body[branch].text == "{":
+                end = _block_end(body, branch)
+            else:  # unbraced branch: up to the next ';'
+                end = branch
+                while end < len(body) and body[end].text != ";":
+                    end += 1
+            yield branch, end
+            if end + 1 < len(body) and body[end + 1].text == "else":
+                branch = end + 2
+                if branch < len(body) and body[branch].text == "if":
+                    break  # `else if` chains are not load-only branches
+                continue
+            break
+
+
+def _archive_calls_in_load_branches(cls: ClassModel,
+                                    state: Method) -> Iterable[Violation]:
+    body = state.body or []
+    archive = state.params[0] if state.params else "ar"
+    for start, end in _one_direction_blocks(body):
+        for k in range(start, end):
+            t = body[k]
+            if (t.kind == "id" and t.text == archive
+                    and body[k + 1].text in ("(", ".")):
+                yield Violation(
+                    state.relpath or cls.relpath, t.line, "snapshot-coverage",
+                    f"{cls.name}::state: archive call in a one-direction "
+                    "`if constexpr (Ar::kLoading)` branch -- the writer and "
+                    "the reader would see different streams; keep that "
+                    "branch to post-load fix-ups")
 
 
 @program_rule("snapshot-coverage",
-              "snapshot_state/restore_state must cover every data member "
-              "(or carry a `lint: transient(<reason>)` waiver)")
+              "state(Ar&) must cover every data member (or carry a "
+              "`lint: transient(<reason>)` waiver) and make no archive "
+              "call in a load-only branch")
 def check_snapshot_coverage(ctx: LintContext):
     for fm in ctx.program.files.values():
         for cls in fm.classes:
-            pair = _snapshot_pair(cls)
-            if pair is None:
+            state = cls.methods.get(STATE_FN)
+            if state is not None and not state.body:
+                state = None
+            snap = cls.methods.get(SNAPSHOT_PAIR[0])
+            rest = cls.methods.get(SNAPSHOT_PAIR[1])
+            pair = (snap, rest) if (snap and rest and snap.body
+                                    and rest.body) else None
+            if state is None and pair is None:
                 continue
-            writer, reader = pair
             src = ctx.sources.get(cls.relpath)
-            wbody = _flatten_body(cls, writer.body, {writer.name})
-            rbody = _flatten_body(cls, reader.body, {reader.name})
-            wrefs = _first_refs(cls.members, wbody)
-            rrefs = _first_refs(cls.members, rbody)
+            covered: set[str] = set()
+            wrefs: set[str] = set()
+            rrefs: set[str] = set()
+            if state is not None:
+                yield from _archive_calls_in_load_branches(cls, state)
+                covered = _refs(cls.members, _flatten_body(
+                    cls, state.body, {STATE_FN}))
+            if pair is not None:
+                wrefs = _refs(cls.members, _flatten_body(
+                    cls, pair[0].body, {pair[0].name}))
+                rrefs = _refs(cls.members, _flatten_body(
+                    cls, pair[1].body, {pair[1].name}))
             seen: set[str] = set()
             for m in cls.members:
                 if m.name in seen:
@@ -1220,61 +1285,23 @@ def check_snapshot_coverage(ctx: LintContext):
                             "carry a reason -- write "
                             "`// lint: transient(<why it is not state>)`")
                     continue
-                in_w = m.name in wrefs
-                in_r = m.name in rrefs
-                if in_w and in_r:
+                if m.name in covered or (m.name in wrefs and m.name in rrefs):
                     continue
-                if not in_w and not in_r:
-                    where = "either snapshot or restore"
-                elif in_r:
-                    where = f"the writer ({writer.name})"
+                if state is not None:
+                    where = "state()"
+                    if pair is not None:
+                        where += " or in both snapshot() and restore()"
+                elif m.name in rrefs:
+                    where = "snapshot()"
+                elif m.name in wrefs:
+                    where = "restore()"
                 else:
-                    where = f"the reader ({reader.name})"
+                    where = "either snapshot() or restore()"
                 yield Violation(
                     cls.relpath, m.line, "snapshot-coverage",
                     f"{cls.name}::{m.name} is not referenced in {where}; "
                     "serialize it (restores silently diverge otherwise) or "
                     "mark it `// lint: transient(<reason>)`")
-
-
-@program_rule("snapshot-order",
-              "writer and reader must serialize members in the same order")
-def check_snapshot_order(ctx: LintContext):
-    for fm in ctx.program.files.values():
-        for cls in fm.classes:
-            pair = _snapshot_pair(cls)
-            if pair is None:
-                continue
-            writer, reader = pair
-            src = ctx.sources.get(cls.relpath)
-            wbody = _flatten_body(cls, writer.body, {writer.name})
-            rbody = _flatten_body(cls, reader.body, {reader.name})
-            wrefs = _first_refs(cls.members, wbody)
-            rrefs = _first_refs(cls.members, rbody)
-            ordered: list[Member] = []
-            seen: set[str] = set()
-            for m in cls.members:
-                if m.name in seen or m.is_static or m.is_reference or m.is_const:
-                    continue
-                seen.add(m.name)
-                if m.conditional:
-                    continue  # #if-guarded: presence differs per config
-                if src and src.transient_reason(m.line) is not None:
-                    continue
-                if m.name in wrefs and m.name in rrefs:
-                    ordered.append(m)
-            wseq = sorted(ordered, key=lambda m: wrefs[m.name])
-            rseq = sorted(ordered, key=lambda m: rrefs[m.name])
-            for wm, rm in zip(wseq, rseq):
-                if wm.name != rm.name:
-                    yield Violation(
-                        writer.relpath or cls.relpath, writer.line,
-                        "snapshot-order",
-                        f"{cls.name}: writer serializes '{wm.name}' where "
-                        f"the reader expects '{rm.name}' -- StateReader "
-                        "streams are positional, so a swapped pair corrupts "
-                        "every later field")
-                    break
 
 
 # ---------------------------------------------------------------------------
