@@ -339,8 +339,8 @@ std::uint64_t batch_campaign_run(std::size_t i, core::HypervisorSystem& system) 
   return system.run(Duration::s(1000));
 }
 
-// One pool-recycle cycle: clear_traces() + restore from the pristine
-// snapshot. This is the per-run fixed cost of the batched engine, the
+// One pool-recycle cycle: restore() from the pristine snapshot, which also
+// drops the trace driver the previous run attached. This is the per-run fixed cost of the batched engine, the
 // number that replaces full system construction (~microseconds) on every
 // run after the first.
 void batch_recycle(benchmark::State& state) {

@@ -145,7 +145,12 @@ SystemConfig load_config(std::istream& is) {
         throw ConfigError(line_no, "key outside any section");
       case Section::kPlatform:
         if (key == "cpu_freq_hz") {
-          cfg.platform.cpu_freq_hz = static_cast<std::uint64_t>(parse_int(line_no, value));
+          // A cycle lasts whole picoseconds: none at 0 Hz, 0 ps above 1 THz.
+          const std::int64_t hz = parse_int(line_no, value);
+          if (hz <= 0 || hz > 1'000'000'000'000) {
+            throw ConfigError(line_no, "cpu_freq_hz out of range (1 .. 10^12 Hz), got " + value);
+          }
+          cfg.platform.cpu_freq_hz = static_cast<std::uint64_t>(hz);
         } else if (key == "cpi_milli") {
           cfg.platform.cpi_milli = static_cast<std::uint32_t>(parse_int(line_no, value));
         } else if (key == "ctx_invalidate_instructions") {
@@ -229,7 +234,11 @@ SystemConfig load_config(std::istream& is) {
         if (key == "name") {
           current_partition().name = value;
         } else if (key == "slot_us") {
-          current_partition().slot_length = sim::Duration::us(parse_int(line_no, value));
+          const std::int64_t us = parse_int(line_no, value);
+          if (us <= 0) {
+            throw ConfigError(line_no, "slot_us out of range (must be positive), got " + value);
+          }
+          current_partition().slot_length = sim::Duration::us(us);
         } else if (key == "background_load") {
           current_partition().background_load = parse_bool(line_no, value);
         } else if (key == "core") {
@@ -375,9 +384,10 @@ void save_config(std::ostream& os, const SystemConfig& cfg) {
   }
   for (const auto& p : cfg.partitions) {
     os << "\n[partition]\n"
-       << "name = " << p.name << "\n"
-       << "slot_us = " << p.slot_length.count_ns() / 1000 << "\n"
-       << "background_load = " << (p.background_load ? "true" : "false") << "\n";
+       << "name = " << p.name << "\n";
+    // Partitions of an explicit [slot] schedule may have no slot length.
+    if (p.slot_length.is_positive()) os << "slot_us = " << p.slot_length.count_ns() / 1000 << "\n";
+    os << "background_load = " << (p.background_load ? "true" : "false") << "\n";
     if (p.core != 0) os << "core = " << p.core << "\n";
     if (p.color_mask != 0xFFFF'FFFFu) {
       os << "color_mask = 0x" << std::hex << p.color_mask << std::dec << "\n";

@@ -246,18 +246,6 @@ void HypervisorSystem::attach_trace(std::uint32_t source_index, workload::Trace 
       platform_->timer(source_index), std::move(trace)));
 }
 
-void HypervisorSystem::clear_traces() {
-  // Destroying a driver leaves its timer's expiry hook dangling; clear the
-  // hooks too so nothing can ever call into freed memory. The hooks are
-  // wiring, not state: attach_trace() re-installs them for the next run.
-  drivers_.clear();
-  for (std::uint32_t i = 0; i < config_.sources.size(); ++i) {
-    platform_->timer(i).set_on_expiry({});
-  }
-  expected_ = 0;
-  started_ = false;
-}
-
 void HypervisorSystem::start() {
   assert(!started_);
   started_ = true;
@@ -331,6 +319,7 @@ HypervisorSystem::SystemSnapshot HypervisorSystem::snapshot() const {
 
   snap.has_client = client_ != nullptr;
   if (client_ != nullptr) snap.client_words = sim::save_words(*client_);
+  snap.drivers = drivers_.size();
   return snap;
 }
 
@@ -339,6 +328,13 @@ void HypervisorSystem::restore(const SystemSnapshot& snap) {
     throw std::logic_error(
         "HypervisorSystem::restore: checkpoint-client presence changed");
   }
+  if (drivers_.size() < snap.drivers) {
+    throw std::logic_error(
+        "HypervisorSystem::restore: fewer trace drivers than the snapshot recorded");
+  }
+  // Drivers attached after the snapshot belong to the run being undone;
+  // destroying one unhooks its timer.
+  drivers_.resize(snap.drivers);
   sim_.restore(snap.sim);
 
   sim::load_words(snap.words, *this, "HypervisorSystem::restore");

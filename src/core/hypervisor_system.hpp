@@ -47,13 +47,6 @@ class HypervisorSystem {
   /// called before run().
   void attach_trace(std::uint32_t source_index, workload::Trace trace);
 
-  /// Pool-recycle hook: drops every attached trace driver (and the expiry
-  /// hooks they installed on the source timers) so that a snapshot taken
-  /// with zero drivers attached can be restored onto this system again.
-  /// Must be followed by restore() of such a snapshot before the next run;
-  /// on its own it leaves expected-completion accounting at zero.
-  void clear_traces();
-
   /// Keep every CompletedIrq record (needed for per-event series such as
   /// Fig. 7); off by default to save memory on long runs.
   void keep_completions(bool on) { keep_completions_ = on; }
@@ -94,6 +87,7 @@ class HypervisorSystem {
     std::vector<hv::CompletedIrq> completions;
     std::vector<std::uint64_t> client_words;
     bool has_client = false;
+    std::size_t drivers = 0;  // trace drivers attached when it was taken
   };
 
   /// Captures the current state. Must be called between simulator events
@@ -103,8 +97,11 @@ class HypervisorSystem {
 
   /// Restores a snapshot in place on this same system object: wiring
   /// (configs, hooks, clients) is structural and must not have changed
-  /// since the snapshot was taken. Throws std::logic_error on a client
-  /// presence mismatch.
+  /// since the snapshot was taken, except that trace drivers attached after
+  /// it are dropped (with their timer hooks) -- so restoring a pristine
+  /// snapshot is the whole recycle step between pooled runs. Throws
+  /// std::logic_error on a client presence mismatch or when fewer drivers
+  /// are attached than the snapshot recorded.
   void restore(const SystemSnapshot& snap);
 
   /// Attaches/detaches the single checkpoint client (see CheckpointClient).

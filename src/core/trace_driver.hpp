@@ -17,6 +17,10 @@ namespace rthv::core {
 class TraceIrqDriver {
  public:
   TraceIrqDriver(hw::HwTimer& timer, workload::Trace trace);
+  /// Clears the timer's expiry hook, so nothing calls into a dropped driver.
+  ~TraceIrqDriver() { timer_.set_on_expiry({}); }
+  TraceIrqDriver(const TraceIrqDriver&) = delete;
+  TraceIrqDriver& operator=(const TraceIrqDriver&) = delete;
 
   /// Programs the first interarrival distance. Call once before running.
   void start();

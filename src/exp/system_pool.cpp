@@ -4,52 +4,49 @@
 
 namespace rthv::exp {
 
-SystemPool::SystemPool(core::SystemConfig config) : config_(std::move(config)) {}
+SystemPool::SystemPool(core::SystemConfig config)
+    : prefix_([config = std::move(config)] {
+        return Prefixed{std::make_unique<core::HypervisorSystem>(config), nullptr};
+      }) {}
+
+SystemPool::SystemPool(Prefix prefix) : prefix_(std::move(prefix)) {}
 
 SystemPool::Lease SystemPool::acquire() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!free_.empty()) {
-    const std::size_t index = free_.back();
-    free_.pop_back();
-    return Lease(this, index, slots_[index].get());
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (!free_.empty()) {
+      Slot* slot = free_.back();
+      free_.pop_back();
+      return Lease(this, slot);
+    }
   }
+  // Built outside the lock: a prefix step may simulate for a while, and
+  // workers starting together build their slots concurrently.
   auto slot = std::make_unique<Slot>();
-  slot->system = std::make_unique<core::HypervisorSystem>(config_);
-  slot->pristine = std::make_unique<core::HypervisorSystem::SystemSnapshot>(
-      slot->system->snapshot());
+  slot->built = prefix_();
+  slot->snapshot = slot->built.system->snapshot();
+  const std::lock_guard<std::mutex> lock(mutex_);
   ++constructed_;
   slots_.push_back(std::move(slot));
-  return Lease(this, slots_.size() - 1, slots_.back().get());
+  return Lease(this, slots_.back().get());
 }
 
-core::HypervisorSystem& SystemPool::slot_begin_run(Slot& slot) {
-  if (slot.fresh) {
-    // A freshly constructed system is already in its pristine pre-start
-    // state -- the first run is exactly a cold run.
-    slot.fresh = false;
-    return *slot.system;
-  }
-  slot.system->clear_traces();
-  slot.system->restore(*slot.pristine);
-  slot.warm_recycles.fetch_add(1, std::memory_order_relaxed);
-  return *slot.system;
-}
-
-void SystemPool::release_slot(std::size_t index) {
+void SystemPool::release_slot(Slot* slot) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  free_.push_back(index);
+  free_.push_back(slot);
 }
 
 core::HypervisorSystem& SystemPool::Lease::begin_run() {
-  return pool_->slot_begin_run(*slot_);
-}
-
-void SystemPool::Lease::release() {
-  if (pool_ != nullptr) {
-    pool_->release_slot(index_);
-    pool_ = nullptr;
-    slot_ = nullptr;
+  Slot& slot = *slot_;
+  if (slot.fresh) {
+    // A freshly built slot is already in its snapshot state -- the first
+    // run is exactly a cold run.
+    slot.fresh = false;
+    return *slot.built.system;
   }
+  slot.built.system->restore(slot.snapshot);
+  slot.warm_recycles.fetch_add(1, std::memory_order_relaxed);
+  return *slot.built.system;
 }
 
 SystemPool::Stats SystemPool::stats() const {
@@ -60,11 +57,6 @@ SystemPool::Stats SystemPool::stats() const {
     s.warm_recycles += slot->warm_recycles.load(std::memory_order_relaxed);
   }
   return s;
-}
-
-std::size_t SystemPool::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return slots_.size();
 }
 
 }  // namespace rthv::exp

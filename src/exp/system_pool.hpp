@@ -3,33 +3,32 @@
 // A batched campaign runs thousands of short, independent simulations of
 // the *same* topology. Constructing a system per run costs allocations,
 // string-keyed metric registration and guest/monitor assembly every time;
-// the pool instead owns a small set of long-lived instances (one per
-// concurrent worker) and recycles each one between runs by restoring a
-// pristine pre-start snapshot -- a 10k-run campaign does O(pool)
-// constructions, not O(runs).
+// the pool instead owns a small set of long-lived slots (one per
+// concurrent worker), each built once -- from a config (an unstarted,
+// pristine system) or by a prefix step that may also run it, e.g. to a
+// hunt's fork point -- and snapshotted right after. Between runs a slot is
+// recycled by restore() of its own snapshot alone: a 10k-run campaign
+// does O(pool) constructions, not O(runs).
 //
 // Warm-start contract: HypervisorSystem::restore() is restore-in-place on
 // the SAME object graph (cloned callbacks capture concrete `this`
-// pointers), so one shared template snapshot cannot seed other instances.
-// Instead every slot takes its OWN pristine snapshot right after
-// construction; deterministic construction makes the slots equivalent, and
-// the snapshot/restore round-trip is proven bit-identical by the batch
-// differential tests. Recycling clears per-run trace drivers first
-// (HypervisorSystem::clear_traces()) so the zero-driver pristine snapshot
-// restores cleanly.
+// pointers), so every slot keeps its OWN snapshot; deterministic building
+// makes the slots equivalent, and the round-trip is proven bit-identical
+// by the batch differential tests. restore() drops the trace drivers a run
+// attached after the snapshot and keeps the ones it recorded.
 //
 // Per-run settings belong to the run, not the pool: a run switches on
 // keep_completions(), enable_tracing() or a FaultEngine on the leased
-// system, and the next restore returns the slot to its pristine settings
-// (completions off, ring disabled and empty, no checkpoint client, no
-// injector-registered metrics). A FaultEngine must be destroyed before the
-// slot is recycled; its destructor disarms the drift deadline transform and
+// system, and the next restore returns the slot to its snapshot settings.
+// A FaultEngine a run creates must be destroyed before the slot is
+// recycled; its destructor disarms the drift deadline transform and
 // detaches the checkpoint client.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -45,10 +44,22 @@ class SystemPool {
  public:
   struct Stats {
     std::uint64_t constructed = 0;    // full system constructions
-    std::uint64_t warm_recycles = 0;  // pristine-snapshot restores
+    std::uint64_t warm_recycles = 0;  // slot-snapshot restores
   };
 
+  /// A prefix step's result: the system in the state the slot snapshots,
+  /// and an owner for what its wiring references.
+  struct Prefixed {
+    std::unique_ptr<core::HypervisorSystem> system;
+    std::shared_ptr<void> owner;  // declared after system: destroyed first
+  };
+  using Prefix = std::function<Prefixed()>;
+
+  /// Slots are unstarted systems built from `config`.
   explicit SystemPool(core::SystemConfig config);
+  /// Slots are built by `prefix`, called once per slot, possibly from
+  /// several workers at once.
+  explicit SystemPool(Prefix prefix);
 
   SystemPool(const SystemPool&) = delete;
   SystemPool& operator=(const SystemPool&) = delete;
@@ -58,59 +69,36 @@ class SystemPool {
   class Lease {
    public:
     Lease() = default;
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), index_(other.index_), slot_(other.slot_) {
-      other.pool_ = nullptr;
-      other.slot_ = nullptr;
-    }
-    Lease& operator=(Lease&& other) noexcept {
-      if (this != &other) {
-        release();
-        pool_ = other.pool_;
-        index_ = other.index_;
-        slot_ = other.slot_;
-        other.pool_ = nullptr;
-        other.slot_ = nullptr;
-      }
-      return *this;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() { release(); }
 
-    /// Hands out the instance reset to its pristine pre-start state, ready
-    /// for attach_trace() + run(). First use after construction skips the
-    /// restore (a fresh system *is* pristine).
+    /// Hands out the instance reset to the slot's snapshot. First use
+    /// after the build skips the restore (a fresh slot *is* in that state).
     [[nodiscard]] core::HypervisorSystem& begin_run();
 
-    [[nodiscard]] bool valid() const { return pool_ != nullptr; }
+    [[nodiscard]] bool valid() const { return slot_ != nullptr; }
 
    private:
     friend class SystemPool;
-    // The Slot pointer is cached here so begin_run() never touches the
+    struct Return {
+      SystemPool* pool;
+      void operator()(Slot* slot) const { pool->release_slot(slot); }
+    };
+    // The Slot pointer is held here so begin_run() never touches the
     // pool's slot vector, which another worker's acquire() may be growing.
-    Lease(SystemPool* pool, std::size_t index, Slot* slot)
-        : pool_(pool), index_(index), slot_(slot) {}
-    void release();
+    Lease(SystemPool* pool, Slot* slot) : slot_(slot, Return{pool}) {}
 
-    SystemPool* pool_ = nullptr;
-    std::size_t index_ = 0;
-    Slot* slot_ = nullptr;
+    std::unique_ptr<Slot, Return> slot_;
   };
 
-  /// Thread-safe. Reuses a free slot or constructs a new one.
+  /// Thread-safe. Reuses a free slot or builds a new one.
   [[nodiscard]] Lease acquire();
 
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] const core::SystemConfig& config() const { return config_; }
 
  private:
   struct Slot {
-    std::unique_ptr<core::HypervisorSystem> system;
-    // Pristine pre-start snapshot of THIS instance (see warm-start contract
-    // above).
-    std::unique_ptr<core::HypervisorSystem::SystemSnapshot> pristine;
+    Prefixed built;
+    // Snapshot of THIS instance (see warm-start contract above).
+    core::HypervisorSystem::SystemSnapshot snapshot;
     bool fresh = true;  // constructed but never handed to a run
     // Relaxed: the counters are statistics, each written only by the worker
     // holding the slot's lease; atomics keep stats() data-race-free even
@@ -118,14 +106,13 @@ class SystemPool {
     std::atomic<std::uint64_t> warm_recycles{0};
   };
 
-  core::HypervisorSystem& slot_begin_run(Slot& slot);
-  void release_slot(std::size_t index);
+  void release_slot(Slot* slot);
 
-  core::SystemConfig config_;
+  Prefix prefix_;
 
   mutable std::mutex mutex_;  // guards slots_ growth, free_, constructed_
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::vector<std::size_t> free_;
+  std::vector<Slot*> free_;
   std::uint64_t constructed_ = 0;
 };
 

@@ -1,11 +1,13 @@
 #include "fault/hunt.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "exp/batch_runner.hpp"
 #include "exp/seed.hpp"
+#include "exp/system_pool.hpp"
 #include "fault/fault_engine.hpp"
 #include "mon/monitor.hpp"
 #include "sim/random.hpp"
@@ -17,17 +19,11 @@ namespace {
 using sim::Duration;
 using sim::TimePoint;
 
-/// One system replica with its fork snapshot. Candidate evaluations restore
-/// and re-run on the same object graph, so the snapshot's cloned callbacks
-/// keep pointing at live objects.
-struct Worker {
-  std::unique_ptr<core::HypervisorSystem> system;
-  std::unique_ptr<FaultEngine> base_engine;
-  std::unique_ptr<InterferenceOracle> oracle;
-  core::HypervisorSystem::SystemSnapshot snap;
-  TimePoint fork_time;
-  TimePoint end_time;
-  std::uint64_t events_at_fork = 0;
+/// The fork state every slot shares, read once from one of them.
+struct Fork {
+  TimePoint time;
+  std::uint64_t events = 0;  // simulated events spent reaching it
+  InterferenceOracle oracle;
 };
 
 struct EvalOutcome {
@@ -68,6 +64,27 @@ void run_to_fork(core::HypervisorSystem& system, const HuntConfig& cfg) {
       break;
     }
   }
+}
+
+/// The deterministic prefix of every pool slot and standalone replay: build
+/// a replica, arm the base plan, start, run to the fork point. The owner is
+/// the base engine: the snapshot's checkpoint client, which must outlive
+/// every run of the system.
+exp::SystemPool::Prefixed run_prefix(const HuntConfig& cfg) {
+  auto system = cfg.make_system();
+  if (system == nullptr) {
+    throw std::invalid_argument("hunt: make_system returned null");
+  }
+  std::shared_ptr<FaultEngine> base;
+  if (!cfg.base_plan.empty()) {
+    base = std::make_shared<FaultEngine>(*system, cfg.base_plan,
+                                         exp::derive_seed(cfg.seed, 0));
+    base->arm();
+  }
+  system->set_run_to_horizon(true);
+  system->start();
+  run_to_fork(*system, cfg);
+  return {std::move(system), std::move(base)};
 }
 
 /// Clamps every injector start to the fork instant. This is the standalone-
@@ -151,28 +168,35 @@ FaultPlan mutate(const FaultPlan& parent, sim::Xoshiro256& rng,
   return plan;
 }
 
-/// Restore + arm + run + judge: the per-candidate hot loop.
-EvalOutcome evaluate(Worker& w, const HuntConfig& cfg, const FaultPlan& plan,
-                     std::uint64_t engine_seed) {
-  w.system->restore(w.snap);
+/// The run's worst bottom-handler latency; nullopt before any completion.
+std::optional<std::int64_t> worst_latency_ns(const core::HypervisorSystem& system) {
+  const auto metrics = system.metrics_snapshot();
+  const auto* h = metrics.find_histogram("irq.latency.all");
+  if (h == nullptr || h->count == 0) return std::nullopt;
+  return h->max_ns;
+}
+
+/// Arm + run + judge on a system the pool has reset to the fork snapshot:
+/// the per-candidate hot loop.
+EvalOutcome evaluate(core::HypervisorSystem& system, const HuntConfig& cfg,
+                     const Fork& fork, const FaultPlan& plan, std::uint64_t engine_seed) {
   EvalOutcome out;
   {
     // The mutant engine lives only for this evaluation; its destructor
     // removes device-level hooks before the next restore re-establishes the
     // base engine's (the checkpoint client restores last).
-    FaultEngine mutant(*w.system, plan, engine_seed);
+    FaultEngine mutant(system, plan, engine_seed);
     mutant.arm();
-    (void)w.system->run_continue(w.end_time);
+    (void)system.run_continue(TimePoint::origin() + cfg.horizon);
   }
-  out.events = w.system->simulator().executed_events() - w.events_at_fork;
+  out.events = system.simulator().executed_events() - fork.events;
 
-  const auto events = w.system->trace();
-  out.report = w.oracle->verify(events);
+  const auto events = system.trace();
+  out.report = fork.oracle.verify(events);
 
   for (const auto& e : events) out.coverage.mark_point(e.point, e.source);
-  const auto& hv = w.system->hypervisor();
-  const auto n_sources =
-      static_cast<std::uint32_t>(w.system->config().sources.size());
+  const auto& hv = system.hypervisor();
+  const auto n_sources = static_cast<std::uint32_t>(system.config().sources.size());
   for (std::uint32_t s = 0; s < n_sources; ++s) {
     if (const auto* m = hv.monitor(s)) {
       out.coverage.mark_admission_ratio(s, m->admitted(), m->observed());
@@ -181,11 +205,9 @@ EvalOutcome evaluate(Worker& w, const HuntConfig& cfg, const FaultPlan& plan,
   out.coverage.mark_oracle(!out.report.violations.empty(),
                            !out.report.cost_violations.empty(),
                            out.report.worst_ratio);
-  const auto metrics = w.system->metrics_snapshot();
-  if (const auto* h = metrics.find_histogram("irq.latency.all");
-      h != nullptr && h->count > 0) {
-    out.max_latency_ns = h->max_ns;
-    out.coverage.mark_max_latency(h->max_ns);
+  if (const auto worst = worst_latency_ns(system)) {
+    out.max_latency_ns = *worst;
+    out.coverage.mark_max_latency(*worst);
   }
 
   out.finding = !out.report.ok() ||
@@ -194,9 +216,10 @@ EvalOutcome evaluate(Worker& w, const HuntConfig& cfg, const FaultPlan& plan,
   return out;
 }
 
-/// Greedy shrink on worker 0: drop whole injections, then halve counts,
-/// keeping every step that still reproduces the finding.
-HuntReproducer minimize(Worker& w, const HuntConfig& cfg, HuntReproducer repro) {
+/// Greedy shrink on one leased slot: drop whole injections, then halve
+/// counts, keeping every step that still reproduces the finding.
+template <class Eval>
+HuntReproducer minimize(const Eval& eval, HuntReproducer repro) {
   constexpr int kMaxTrials = 64;
   int trials = 0;
   bool reduced = true;
@@ -209,7 +232,7 @@ HuntReproducer minimize(Worker& w, const HuntConfig& cfg, HuntReproducer repro) 
       candidate.injections.erase(candidate.injections.begin() +
                                  static_cast<std::ptrdiff_t>(i));
       ++trials;
-      if (evaluate(w, cfg, candidate, repro.engine_seed).finding) {
+      if (eval(candidate, repro.engine_seed).finding) {
         repro.plan = std::move(candidate);
         reduced = true;
         break;
@@ -220,7 +243,7 @@ HuntReproducer minimize(Worker& w, const HuntConfig& cfg, HuntReproducer repro) 
       FaultPlan candidate = repro.plan;
       candidate.injections[i].count /= 2;
       ++trials;
-      if (evaluate(w, cfg, candidate, repro.engine_seed).finding) {
+      if (eval(candidate, repro.engine_seed).finding) {
         repro.plan.injections[i].count /= 2;
         reduced = true;
       }
@@ -241,46 +264,25 @@ HuntResult run_hunt(const HuntConfig& cfg) {
   if (!cfg.horizon.is_positive()) {
     throw std::invalid_argument("run_hunt: horizon must be positive");
   }
-  const std::uint32_t jobs = std::max<std::uint32_t>(1, cfg.jobs);
 
-  // Identical prefix on every replica: build, arm base plan, run to fork,
-  // snapshot. The base engine stays alive for the whole hunt -- snapshot
-  // callbacks reference it, and it is the checkpoint client whose
-  // state load re-establishes device hooks after each restore.
-  std::vector<Worker> workers(jobs);
-  for (auto& w : workers) {
-    w.system = cfg.make_system();
-    if (w.system == nullptr) {
-      throw std::invalid_argument("run_hunt: make_system returned null");
-    }
-    if (!cfg.base_plan.empty()) {
-      w.base_engine = std::make_unique<FaultEngine>(
-          *w.system, cfg.base_plan, exp::derive_seed(cfg.seed, 0));
-      w.base_engine->arm();
-    }
-    w.system->set_run_to_horizon(true);
-    w.oracle = std::make_unique<InterferenceOracle>(
-        InterferenceOracle::params_from(*w.system));
-    w.system->start();
-    run_to_fork(*w.system, cfg);
-    w.snap = w.system->snapshot();
-    w.fork_time = w.system->simulator().now();
-    w.end_time = TimePoint::origin() + cfg.horizon;
-    w.events_at_fork = w.system->simulator().executed_events();
-  }
+  // Every slot runs the identical prefix once and snapshots at the fork;
+  // each evaluation is then restore + arm + run the rest of the horizon.
+  exp::SystemPool pool([&cfg] { return run_prefix(cfg); });
+  // Evaluations are long and uneven in cost: steal them one at a time.
+  exp::BatchRunner runner(
+      exp::BatchOptions{.jobs = std::max<std::uint32_t>(1, cfg.jobs), .chunk = 1});
+  const Fork fork = [&pool] {
+    auto lease = pool.acquire();
+    const core::HypervisorSystem& system = lease.begin_run();
+    return Fork{system.simulator().now(), system.simulator().executed_events(),
+                InterferenceOracle(InterferenceOracle::params_from(system))};
+  }();
 
   HuntResult result;
-  result.events_to_fork = workers[0].events_at_fork;
-  const TimePoint fork_time = workers[0].fork_time;
+  result.events_to_fork = fork.events;
 
   std::vector<FaultPlan> corpus = cfg.corpus;
-  for (auto& plan : corpus) clamp_starts(plan, fork_time);
-
-  struct Candidate {
-    FaultPlan plan;
-    std::uint64_t engine_seed = 0;
-    std::uint64_t global_index = 0;
-  };
+  for (auto& plan : corpus) clamp_starts(plan, fork.time);
 
   bool stop = false;
   for (std::uint32_t gen = 0; gen < cfg.generations && !stop; ++gen) {
@@ -288,35 +290,23 @@ HuntResult run_hunt(const HuntConfig& cfg) {
 
     // Candidates for the whole generation are derived before anything runs:
     // mutation randomness never depends on evaluation order.
-    std::vector<Candidate> candidates(cfg.population);
+    std::vector<HuntReproducer> candidates(cfg.population);
     for (std::uint32_t i = 0; i < cfg.population; ++i) {
       const std::uint64_t index =
           static_cast<std::uint64_t>(gen) * cfg.population + i;
       sim::Xoshiro256 rng(exp::derive_seed(cfg.seed, 1 + index));
       const FaultPlan& parent = corpus[rng.uniform_int(0, corpus.size() - 1)];
-      candidates[i].plan = mutate(parent, rng, fork_time, cfg.horizon);
+      candidates[i].plan = mutate(parent, rng, fork.time, cfg.horizon);
       candidates[i].engine_seed = exp::derive_seed(cfg.seed, 0x10000 + index);
       candidates[i].global_index = index;
     }
 
-    // Static sharding: candidate i always runs on worker i % jobs, results
-    // land in their index slot, and the merge below walks index order -- the
-    // whole generation is --jobs invariant.
-    std::vector<EvalOutcome> outcomes(cfg.population);
-    const auto shard = [&](std::uint32_t job) {
-      for (std::uint32_t i = job; i < cfg.population; i += jobs) {
-        outcomes[i] =
-            evaluate(workers[job], cfg, candidates[i].plan, candidates[i].engine_seed);
-      }
-    };
-    if (jobs == 1) {
-      shard(0);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(jobs);
-      for (std::uint32_t j = 0; j < jobs; ++j) threads.emplace_back(shard, j);
-      for (auto& t : threads) t.join();
-    }
+    // Results come back in candidate order whichever worker ran them, so
+    // the merge below is --jobs invariant.
+    auto outcomes = runner.map(
+        pool, candidates.size(), [&](std::size_t i, core::HypervisorSystem& system) {
+          return evaluate(system, cfg, fork, candidates[i].plan, candidates[i].engine_seed);
+        });
 
     // Generation barrier: fold in global index order.
     for (std::uint32_t i = 0; i < cfg.population; ++i) {
@@ -332,9 +322,7 @@ HuntResult run_hunt(const HuntConfig& cfg) {
         result.sim_events_at_find = result.sim_events;
         result.report = std::move(out.report);
         result.max_latency_ns = out.max_latency_ns;
-        result.reproducer.plan = candidates[i].plan;
-        result.reproducer.engine_seed = candidates[i].engine_seed;
-        result.reproducer.global_index = candidates[i].global_index;
+        result.reproducer = candidates[i];
       }
       if (cfg.event_budget != 0 && result.sim_events >= cfg.event_budget) {
         stop = true;
@@ -344,9 +332,12 @@ HuntResult run_hunt(const HuntConfig& cfg) {
   }
 
   if (result.found && cfg.minimize) {
-    result.reproducer = minimize(workers[0], cfg, std::move(result.reproducer));
-    auto final_out = evaluate(workers[0], cfg, result.reproducer.plan,
-                              result.reproducer.engine_seed);
+    auto lease = pool.acquire();
+    const auto eval = [&](const FaultPlan& plan, std::uint64_t engine_seed) {
+      return evaluate(lease.begin_run(), cfg, fork, plan, engine_seed);
+    };
+    result.reproducer = minimize(eval, std::move(result.reproducer));
+    auto final_out = eval(result.reproducer.plan, result.reproducer.engine_seed);
     result.report = std::move(final_out.report);
     result.max_latency_ns = final_out.max_latency_ns;
   }
@@ -356,37 +347,19 @@ HuntResult run_hunt(const HuntConfig& cfg) {
 
 OracleReport replay_reproducer(const HuntConfig& cfg, const HuntReproducer& repro,
                                std::int64_t* max_latency_ns) {
-  auto system = cfg.make_system();
-  if (system == nullptr) {
-    throw std::invalid_argument("replay_reproducer: make_system returned null");
-  }
-  std::unique_ptr<FaultEngine> base;
-  if (!cfg.base_plan.empty()) {
-    base = std::make_unique<FaultEngine>(*system, cfg.base_plan,
-                                         exp::derive_seed(cfg.seed, 0));
-    base->arm();
-  }
-  system->set_run_to_horizon(true);
-  system->start();
   // Re-run the deterministic prefix and arm at the fork instant, exactly as
   // the in-hunt evaluation did: event sequence numbers are assigned at
   // schedule time, so arming earlier would tie-break same-instant events
   // differently. No snapshot is taken or restored here -- a reproducer that
   // replays this way is independent of the snapshot layer by construction.
-  run_to_fork(*system, cfg);
-  FaultEngine engine(*system, repro.plan, repro.engine_seed);
+  const auto forked = run_prefix(cfg);
+  core::HypervisorSystem& system = *forked.system;
+  FaultEngine engine(system, repro.plan, repro.engine_seed);
   engine.arm();
-  (void)system->run_continue(sim::TimePoint::origin() + cfg.horizon);
-  const InterferenceOracle oracle(InterferenceOracle::params_from(*system));
-  auto report = oracle.verify(system->trace());
-  if (max_latency_ns != nullptr) {
-    *max_latency_ns = 0;
-    const auto metrics = system->metrics_snapshot();
-    if (const auto* h = metrics.find_histogram("irq.latency.all");
-        h != nullptr && h->count > 0) {
-      *max_latency_ns = h->max_ns;
-    }
-  }
+  (void)system.run_continue(TimePoint::origin() + cfg.horizon);
+  const InterferenceOracle oracle(InterferenceOracle::params_from(system));
+  auto report = oracle.verify(system.trace());
+  if (max_latency_ns != nullptr) *max_latency_ns = worst_latency_ns(system).value_or(0);
   return report;
 }
 

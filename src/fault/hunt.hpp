@@ -1,13 +1,13 @@
 // Coverage-guided adversarial campaign driver (the library behind
 // tools/rthv_hunt).
 //
-// A hunt runs one expensive prefix once and thousands of cheap suffixes:
-// each worker builds a full system replica, arms the *base* fault plan,
-// runs to a configurable fork point (a wall-clock instant, the Nth TDMA
-// slot switch, or a monitor reaching observation depth k) and takes a
-// HypervisorSystem snapshot there. Every candidate evaluation then is
-// restore + arm a mutated plan + run the remaining horizon -- a fraction of
-// the events a from-scratch campaign (PR 4 style) pays per try.
+// A hunt runs one expensive prefix per worker and thousands of cheap
+// suffixes. Each exp::SystemPool slot is built by a prefix step: a system
+// replica arms the *base* fault plan and runs to a fork point (a simulated
+// instant, the Nth TDMA slot switch, or a monitor reaching observation
+// depth k), where the slot snapshots. Each generation is one
+// exp::BatchRunner::map over that pool: restore + arm a mutated plan + run
+// the remaining horizon per candidate.
 //
 // Search: classic coverage-guided fuzzing over fault-plan parameters. A
 // candidate's behavior is distilled into an obs::CoverageMap (trace points,
@@ -17,11 +17,11 @@
 // boundary instead of sampling blindly.
 //
 // Determinism contract: mutation randomness is derived per global candidate
-// index with exp::derive_seed before any evaluation runs; candidates are
-// statically sharded over workers (index mod jobs) and their results are
-// folded at a generation barrier in global index order. A hunt is therefore
-// a pure function of (config, seed): coverage map, findings and reproducers
-// are bit-identical for any --jobs value. Findings replay standalone: a
+// index with exp::derive_seed before any evaluation runs; every slot starts
+// each candidate from the same fork state; and map() returns the outcomes
+// in candidate order for the generation barrier to fold. A hunt is
+// therefore a pure function of (config, seed): coverage map, findings and
+// reproducers are bit-identical for any --jobs value. Findings replay standalone: a
 // fresh system re-runs the deterministic prefix to the fork point and arms
 // the reproducer there -- no snapshot taken or restored -- so a reproducer
 // that replays proves the finding is real behavior, not a snapshot
@@ -42,7 +42,7 @@
 
 namespace rthv::fault {
 
-/// Where every worker forks its snapshot.
+/// Where every pool slot forks its snapshot.
 struct HuntForkPoint {
   enum class Kind : std::uint8_t {
     kTime,          // at the given simulated instant
@@ -67,7 +67,8 @@ struct HuntReproducer {
 struct HuntConfig {
   /// Builds a fresh, unstarted system replica: configuration applied,
   /// traces attached, tracing enabled, monitor weakened if the scenario
-  /// wants that. Called once per worker plus once per standalone replay.
+  /// wants that. Called once per pool slot (at most `jobs`, possibly
+  /// concurrently) plus once per standalone replay.
   std::function<std::unique_ptr<core::HypervisorSystem>()> make_system;
 
   /// Environment plan armed before the fork (may be empty); its engine is
@@ -83,7 +84,7 @@ struct HuntConfig {
   std::uint64_t seed = 1;
   std::uint32_t generations = 8;
   std::uint32_t population = 16;    // candidates per generation
-  std::uint32_t jobs = 1;           // worker replicas (threads)
+  std::uint32_t jobs = 1;           // BatchRunner workers (0 counts as 1)
   /// Off = random campaign baseline: the corpus never grows, every mutant
   /// derives from the initial corpus (what PR 4's sweep-based campaigns
   /// do); the coverage map is still collected for reporting.
@@ -106,7 +107,7 @@ struct HuntResult {
   std::uint64_t evaluations = 0;
   std::uint64_t sim_events = 0;          // post-fork events, all evaluations
   std::uint64_t sim_events_at_find = 0;  // spent when the finding surfaced
-  std::uint64_t events_to_fork = 0;      // prefix cost paid once per worker
+  std::uint64_t events_to_fork = 0;      // prefix cost paid once per slot
   std::size_t corpus_size = 0;
   std::uint32_t generations_run = 0;
 };

@@ -29,6 +29,7 @@
 #include <deque>
 #include <functional>
 #include <string_view>
+#include <type_traits>
 
 #include "hv/types.hpp"
 #include "obs/trace_ring.hpp"
@@ -47,14 +48,22 @@ enum class HealthEventKind : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(HealthEventKind k);
 
+/// No padding: the ring is checkpointed by memcpy. Build it with designated
+/// initialisers.
 struct HealthEvent {
   sim::TimePoint time;
   HealthEventKind kind = HealthEventKind::kIrqQueueOverflow;
+  std::uint8_t reserved0 = 0;   // explicit padding, always zero
+  std::uint16_t reserved1 = 0;  // explicit padding, always zero
   /// Affected partition (kInvalidPartition when not applicable).
   PartitionId partition = kInvalidPartition;
   /// Originating IRQ source (UINT32_MAX when not applicable).
   IrqSourceId source = UINT32_MAX;
+  std::uint32_t reserved2 = 0;  // explicit padding, always zero
 };
+
+static_assert(std::has_unique_object_representations_v<HealthEvent>,
+              "HealthEvent must have no padding bytes");
 
 class HealthMonitor {
  public:

@@ -117,10 +117,11 @@ void Hypervisor::start() {
       this);
   platform_.intc().set_lost_raise_observer([this](hw::IrqLine l) {
     const IrqSourceId sid = lines_.at(l);
-    health_.report(HealthEvent{now(), HealthEventKind::kIrqRaiseLost,
-                               sid != kInvalidSource ? srcs_.subscriber[sid]
-                                                     : kInvalidPartition,
-                               sid});
+    health_.report(HealthEvent{
+        .time = now(),
+        .kind = HealthEventKind::kIrqRaiseLost,
+        .partition = sid != kInvalidSource ? srcs_.subscriber[sid] : kInvalidPartition,
+        .source = sid});
   });
   current_partition_ = scheduler_->current_owner();
   tdma_timer_->program_at(scheduler_->current_boundary());
@@ -411,8 +412,8 @@ void Hypervisor::finish_top_batch(TimePoint ta) {
       switch (reason) {
         case obs::InterposeDenyReason::kMonitor:
           ++irq_path_stats_.denied_by_monitor;
-          health_.report(HealthEvent{now(), HealthEventKind::kMonitorViolation, sub,
-                                     item.source});
+          health_.report(HealthEvent{.time = now(), .kind = HealthEventKind::kMonitorViolation,
+                                     .partition = sub, .source = item.source});
           break;
         case obs::InterposeDenyReason::kEngineBusy:
           ++irq_path_stats_.denied_engine_busy;
@@ -558,7 +559,8 @@ void Hypervisor::emit_batch_records(TimePoint ta) {
       // must not run under a live emitter: flush the burst around the
       // (rare) overflow report so record order matches the scalar path.
       burst->commit();
-      health_.report(HealthEvent{ta, HealthEventKind::kIrqQueueOverflow, sub, sid});
+      health_.report(HealthEvent{.time = ta, .kind = HealthEventKind::kIrqQueueOverflow,
+                                 .partition = sub, .source = sid});
       burst.emplace(trace_ring_);
     } else {
       burst->emit(ta_ns, TracePoint::kIrqPush, TraceCategory::kIrq, sub, sid, ev.seq,
@@ -608,8 +610,9 @@ void Hypervisor::service_tdma_tick() {
                   ++irq_path_stats_.deferred_slot_switches;
                   trace(TracePoint::kSlotDeferred, TraceCategory::kScheduler,
                         current_partition_);
-                  health_.report(HealthEvent{now(), HealthEventKind::kDeferredBoundary,
-                                             current_partition_, UINT32_MAX});
+                  health_.report(HealthEvent{.time = now(),
+                                             .kind = HealthEventKind::kDeferredBoundary,
+                                             .partition = current_partition_});
                   return_to_partition();
                 });
     return;
@@ -959,8 +962,9 @@ void Hypervisor::on_slice_complete() {
   // budget capped the slice: enforce the budget by ending the interposition;
   // the remainder continues in the subscriber's own slot.
   assert(interpose_ && !interpose_->budget_left.is_positive());
-  health_.report(HealthEvent{now(), HealthEventKind::kBudgetOverrun, r.partition,
-                             w.event ? w.event->source : UINT32_MAX});
+  health_.report(HealthEvent{.time = now(), .kind = HealthEventKind::kBudgetOverrun,
+                             .partition = r.partition,
+                             .source = w.event ? w.event->source : UINT32_MAX});
   end_interpose();
 }
 

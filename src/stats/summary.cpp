@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace rthv::stats {
 
@@ -17,6 +18,7 @@ void Summary::merge(const Summary& other) {
 }
 
 void Summary::ensure_sorted() const {
+  if (samples_.empty()) throw std::domain_error("stats::Summary: no samples");
   if (sorted_valid_) return;
   sorted_ = samples_;
   std::sort(sorted_.begin(), sorted_.end());
@@ -24,7 +26,6 @@ void Summary::ensure_sorted() const {
 }
 
 sim::Duration Summary::mean() const {
-  assert(!empty());
   // Accumulate quotient and remainder separately to stay exact for sample
   // sums that would overflow 64-bit nanoseconds.
   const auto n = static_cast<std::int64_t>(samples_.size());
@@ -40,19 +41,17 @@ sim::Duration Summary::mean() const {
 }
 
 sim::Duration Summary::min() const {
-  assert(!empty());
   ensure_sorted();
   return sorted_.front();
 }
 
 sim::Duration Summary::max() const {
-  assert(!empty());
   ensure_sorted();
   return sorted_.back();
 }
 
 sim::Duration Summary::stddev() const {
-  assert(!empty());
+  if (empty()) throw std::domain_error("stats::Summary: no samples");
   const double m = static_cast<double>(mean().count_ns());
   double acc = 0;
   for (const auto s : samples_) {
@@ -64,7 +63,6 @@ sim::Duration Summary::stddev() const {
 }
 
 sim::Duration Summary::percentile(double p) const {
-  assert(!empty());
   assert(p >= 0.0 && p <= 100.0);
   ensure_sorted();
   if (p == 0.0) return sorted_.front();

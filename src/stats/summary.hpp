@@ -20,7 +20,10 @@ class Summary {
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
 
+  /// Zero for an empty summary.
   [[nodiscard]] sim::Duration mean() const;
+  /// min/max/stddev/percentile have no value when empty(): they throw
+  /// std::domain_error in every build mode.
   [[nodiscard]] sim::Duration min() const;
   [[nodiscard]] sim::Duration max() const;
   [[nodiscard]] sim::Duration stddev() const;

@@ -5,6 +5,7 @@
 #include "core/hypervisor_system.hpp"
 
 #include <sstream>
+#include <string>
 
 namespace rthv::core {
 namespace {
@@ -169,6 +170,45 @@ TEST(ConfigLoaderTest, RejectsSemanticallyInvalid) {
   }
 }
 
+TEST(ConfigLoaderTest, RejectsZeroCpuFrequency) {
+  // Zero has no cycle length (the CPU model would divide by it).
+  std::istringstream is("[platform]\ncpu_freq_hz = 0\n[partition]\nname = p\nslot_us = 100\n");
+  try {
+    (void)load_config(is);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_NE(std::string(e.what()).find("cpu_freq_hz out of range"), std::string::npos);
+  }
+}
+
+TEST(ConfigLoaderTest, RejectsCpuFrequencyAboveOneTerahertz) {
+  // Above 10^12 Hz a cycle would last 0 ps and every instruction be free.
+  std::istringstream is(
+      "[platform]\ncpu_freq_hz = 1000000000001\n[partition]\nname = p\nslot_us = 100\n");
+  try {
+    (void)load_config(is);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_NE(std::string(e.what()).find("cpu_freq_hz out of range"), std::string::npos);
+  }
+}
+
+TEST(ConfigLoaderTest, RejectsNonPositiveSlotLengthAsOutOfRange) {
+  for (const std::string slot : {"0", "-5"}) {
+    SCOPED_TRACE("slot_us = " + slot);
+    std::istringstream is("[partition]\nname = p\nslot_us = " + slot + "\n");
+    try {
+      (void)load_config(is);
+      FAIL() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.line(), 3u);
+      EXPECT_NE(std::string(e.what()).find("slot_us out of range"), std::string::npos);
+    }
+  }
+}
+
 TEST(ConfigLoaderTest, RoundTripPreservesConfig) {
   auto original = SystemConfig::paper_baseline();
   original.mode = hv::TopHandlerMode::kInterposing;
@@ -194,6 +234,16 @@ TEST(ConfigLoaderTest, RoundTripPreservesConfig) {
   EXPECT_EQ(back.sources[0].bucket_depth, 3u);
   ASSERT_EQ(back.schedule.size(), 2u);
   EXPECT_EQ(back.schedule[1].length, Duration::us(7000));
+}
+
+TEST(ConfigLoaderTest, ExplicitScheduleWithoutSlotLengthsRoundTrips) {
+  std::istringstream is("[partition]\nname = a\n[slot]\npartition = 0\nlength_us = 500\n");
+  const auto original = load_config(is);
+  std::stringstream ss;
+  save_config(ss, original);
+  const auto reloaded = load_config(ss);
+  EXPECT_EQ(reloaded.partitions[0].slot_length, Duration::zero());
+  EXPECT_EQ(reloaded.tdma_cycle(), Duration::us(500));
 }
 
 TEST(ConfigLoaderTest, LoadedConfigBuildsARunningSystem) {

@@ -179,5 +179,38 @@ TEST(SystemSnapshotTest, ClientPresenceMismatchThrows) {
   EXPECT_THROW(system.restore(snap), std::logic_error);
 }
 
+TEST(SystemSnapshotTest, RestoreDropsDriversAttachedAfterTheSnapshot) {
+  // The pool recycle step: a pristine snapshot restored over a finished
+  // traced run drops that run's driver, and the next run on the same
+  // system matches a run on a freshly constructed one.
+  const auto run_once = [](HypervisorSystem& system) {
+    system.enable_tracing();
+    workload::ExponentialTraceGenerator gen(Duration::us(1444), 7);
+    system.attach_trace(0, gen.generate(16));
+    system.run(Duration::ms(100));
+    return digest(system);
+  };
+  HypervisorSystem fresh(monitored_baseline());
+  const std::string expected = run_once(fresh);
+
+  HypervisorSystem recycled(monitored_baseline());
+  const auto pristine = recycled.snapshot();
+  ASSERT_EQ(pristine.drivers, 0u);
+  (void)run_once(recycled);
+  recycled.restore(pristine);
+  EXPECT_EQ(run_once(recycled), expected);
+}
+
+TEST(SystemSnapshotTest, RestoreOntoFewerDriversThrows) {
+  HypervisorSystem traced(monitored_baseline());
+  workload::ExponentialTraceGenerator gen(Duration::us(1444), 7);
+  traced.attach_trace(0, gen.generate(16));
+  const auto snap = traced.snapshot();
+  ASSERT_EQ(snap.drivers, 1u);
+
+  HypervisorSystem bare(monitored_baseline());
+  EXPECT_THROW(bare.restore(snap), std::logic_error);
+}
+
 }  // namespace
 }  // namespace rthv::core

@@ -5,8 +5,8 @@
 //    whatever the finish order, every index run exactly once, empty and
 //    one-run campaigns, lowest-index rethrow, inline single worker, idle
 //    workers stealing from a blocked one;
-//  - warm-start soundness: a pooled system recycled by clear_traces() +
-//    restore(pristine) is bit-identical to a cold-constructed system for
+//  - warm-start soundness: a pooled system recycled by restore(pristine)
+//    (which drops the run's trace drivers) is bit-identical to a cold-constructed system for
 //    the same workload, across many seeds, across mid-campaign slot
 //    recycling and under a fault plan with the drift transform; per-run
 //    settings (tracing, kept completions) never leak into the next run;
@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -273,7 +274,7 @@ TEST(SystemPoolTest, ReleaseAndReacquireRecyclesTheSlot) {
     auto lease = pool.acquire();  // released at scope exit, slot goes back
     digests.push_back(run_digest(lease.begin_run(), seed));
   }
-  EXPECT_EQ(pool.size(), 1u);  // every acquire() reused the one slot
+  EXPECT_EQ(pool.stats().constructed, 1u);  // every acquire() reused the one slot
   core::HypervisorSystem cold(monitored_config());
   EXPECT_EQ(digests[2], run_digest(cold, 22));
 }
@@ -351,6 +352,53 @@ TEST(SystemPoolTest, FaultPlanRunsMatchPerRunConstructionAcrossRecycles) {
     EXPECT_EQ(pooled[i], fault_digest(cold, plan, 50 + i)) << "run " << i;
   }
   EXPECT_NE(pooled[0], pooled[1]);  // the runs really differ
+}
+
+// A prefix-built slot: traced, one trace attached, the campaign plan's
+// engine armed as the checkpoint client, started and run to t = 20 ms.
+SystemPool::Prefixed forked_system(const fault::FaultPlan& plan) {
+  auto system = std::make_unique<core::HypervisorSystem>(monitored_config());
+  system->enable_tracing();
+  workload::ExponentialTraceGenerator gen(sim::Duration::us(1444), 60);
+  system->attach_trace(0, gen.generate(64));
+  auto base = std::make_shared<fault::FaultEngine>(*system, plan, 61);
+  base->arm();
+  system->set_run_to_horizon(true);
+  system->start();
+  (void)system->run_continue(sim::TimePoint::at_us(20'000));
+  return {std::move(system), std::move(base)};
+}
+
+// Runs a prefix-built system from its fork to the horizon and renders it.
+std::string continuation_digest(core::HypervisorSystem& system, sim::Duration horizon) {
+  (void)system.run_continue(sim::TimePoint::origin() + horizon);
+  std::ostringstream os;
+  system.metrics_snapshot().write_json(os);
+  const auto meta = system.trace_meta();
+  os << '|' << obs::render_text(system.trace(), &meta) << '|'
+     << system.simulator().executed_events();
+  return os.str();
+}
+
+TEST(SystemPoolTest, PrefixSlotsRecycleToTheirForkState) {
+  // The slot snapshot holds a trace driver and a checkpoint client, so
+  // restore() alone must recycle it: keep the driver, reload the engine.
+  const auto plan =
+      fault::load_fault_plan_file(std::string(RTHV_CONFIG_DIR) + "/fault_campaign.plan");
+  const auto cold = forked_system(plan);
+  const sim::TimePoint fork_time = cold.system->simulator().now();
+  const std::string expected = continuation_digest(*cold.system, plan.horizon);
+
+  SystemPool pool([&plan] { return forked_system(plan); });
+  auto lease = pool.acquire();
+  for (int run = 0; run < 3; ++run) {
+    core::HypervisorSystem& system = lease.begin_run();
+    EXPECT_EQ(system.simulator().now(), fork_time);
+    EXPECT_NE(system.checkpoint_client(), nullptr) << "the slot's engine must stay alive";
+    EXPECT_EQ(continuation_digest(system, plan.horizon), expected) << "run " << run;
+  }
+  EXPECT_EQ(pool.stats().constructed, 1u);
+  EXPECT_EQ(pool.stats().warm_recycles, 2u);
 }
 
 // --- jobs-identity ----------------------------------------------------------

@@ -122,21 +122,24 @@ TEST(HuntTest, ReproducerReplaysStandaloneToTheSameVerdict) {
 
 TEST(HuntTest, HuntIsJobCountIndependent) {
   const auto sequential = run_hunt(scenario(1, /*guided=*/true, 12));
-  const auto parallel = run_hunt(scenario(4, /*guided=*/true, 12));
+  for (const std::uint32_t jobs : {2u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    const auto parallel = run_hunt(scenario(jobs, /*guided=*/true, 12));
 
-  EXPECT_EQ(sequential.found, parallel.found);
-  EXPECT_EQ(sequential.evaluations, parallel.evaluations);
-  EXPECT_EQ(sequential.sim_events, parallel.sim_events);
-  EXPECT_EQ(sequential.generations_run, parallel.generations_run);
-  EXPECT_EQ(sequential.corpus_size, parallel.corpus_size);
-  EXPECT_EQ(sequential.coverage.to_hex(), parallel.coverage.to_hex())
-      << "coverage maps must be bit-identical for any job count";
-  if (sequential.found) {
-    EXPECT_EQ(sequential.reproducer.global_index, parallel.reproducer.global_index);
-    EXPECT_EQ(sequential.reproducer.engine_seed, parallel.reproducer.engine_seed);
-    EXPECT_EQ(plan_text(sequential.reproducer.plan),
-              plan_text(parallel.reproducer.plan));
-    EXPECT_EQ(report_text(sequential.report), report_text(parallel.report));
+    EXPECT_EQ(sequential.found, parallel.found);
+    EXPECT_EQ(sequential.evaluations, parallel.evaluations);
+    EXPECT_EQ(sequential.sim_events, parallel.sim_events);
+    EXPECT_EQ(sequential.generations_run, parallel.generations_run);
+    EXPECT_EQ(sequential.corpus_size, parallel.corpus_size);
+    EXPECT_EQ(sequential.coverage.to_hex(), parallel.coverage.to_hex())
+        << "coverage maps must be bit-identical for any job count";
+    if (sequential.found) {
+      EXPECT_EQ(sequential.reproducer.global_index, parallel.reproducer.global_index);
+      EXPECT_EQ(sequential.reproducer.engine_seed, parallel.reproducer.engine_seed);
+      EXPECT_EQ(plan_text(sequential.reproducer.plan),
+                plan_text(parallel.reproducer.plan));
+      EXPECT_EQ(report_text(sequential.report), report_text(parallel.report));
+    }
   }
 }
 

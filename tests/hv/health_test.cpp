@@ -16,9 +16,18 @@ using sim::TimePoint;
 
 TEST(HealthMonitorTest, CountsPerKind) {
   HealthMonitor hm;
-  hm.report(HealthEvent{TimePoint::origin(), HealthEventKind::kIrqQueueOverflow, 0, 0});
-  hm.report(HealthEvent{TimePoint::origin(), HealthEventKind::kIrqQueueOverflow, 0, 0});
-  hm.report(HealthEvent{TimePoint::origin(), HealthEventKind::kBudgetOverrun, 1, 0});
+  hm.report(HealthEvent{.time = TimePoint::origin(),
+                        .kind = HealthEventKind::kIrqQueueOverflow,
+                        .partition = 0,
+                        .source = 0});
+  hm.report(HealthEvent{.time = TimePoint::origin(),
+                        .kind = HealthEventKind::kIrqQueueOverflow,
+                        .partition = 0,
+                        .source = 0});
+  hm.report(HealthEvent{.time = TimePoint::origin(),
+                        .kind = HealthEventKind::kBudgetOverrun,
+                        .partition = 1,
+                        .source = 0});
   EXPECT_EQ(hm.count(HealthEventKind::kIrqQueueOverflow), 2u);
   EXPECT_EQ(hm.count(HealthEventKind::kBudgetOverrun), 1u);
   EXPECT_EQ(hm.count(HealthEventKind::kMonitorViolation), 0u);
@@ -28,7 +37,10 @@ TEST(HealthMonitorTest, CountsPerKind) {
 TEST(HealthMonitorTest, RingBufferBounded) {
   HealthMonitor hm(/*ring_capacity=*/3);
   for (int i = 0; i < 5; ++i) {
-    hm.report(HealthEvent{TimePoint::at_us(i), HealthEventKind::kDeferredBoundary, 0, 0});
+    hm.report(HealthEvent{.time = TimePoint::at_us(i),
+                          .kind = HealthEventKind::kDeferredBoundary,
+                          .partition = 0,
+                          .source = 0});
   }
   EXPECT_EQ(hm.recent().size(), 3u);
   EXPECT_EQ(hm.recent().front().time, TimePoint::at_us(2));  // oldest kept
@@ -39,13 +51,19 @@ TEST(HealthMonitorTest, CallbackInvoked) {
   HealthMonitor hm;
   HealthEventKind seen = HealthEventKind::kCount_;
   hm.set_callback([&](const HealthEvent& e) { seen = e.kind; });
-  hm.report(HealthEvent{TimePoint::origin(), HealthEventKind::kIrqRaiseLost, 0, 0});
+  hm.report(HealthEvent{.time = TimePoint::origin(),
+                        .kind = HealthEventKind::kIrqRaiseLost,
+                        .partition = 0,
+                        .source = 0});
   EXPECT_EQ(seen, HealthEventKind::kIrqRaiseLost);
 }
 
 TEST(HealthMonitorTest, ClearResetsEverything) {
   HealthMonitor hm;
-  hm.report(HealthEvent{TimePoint::origin(), HealthEventKind::kMonitorViolation, 0, 0});
+  hm.report(HealthEvent{.time = TimePoint::origin(),
+                        .kind = HealthEventKind::kMonitorViolation,
+                        .partition = 0,
+                        .source = 0});
   hm.clear();
   EXPECT_EQ(hm.total(), 0u);
   EXPECT_TRUE(hm.recent().empty());

@@ -49,7 +49,7 @@ ctest --test-dir build-asan --output-on-failure -L hunt -j "$jobs"
 
 # Pool recycling restores snapshots onto live object graphs and re-leases
 # the same HypervisorSystem across runs; ASan/UBSan over the batch suite
-# catches stale-pointer bugs in clear_traces()/restore() recycling --
+# catches stale-pointer bugs in restore() recycling (dropped trace drivers) --
 # including fault-plan runs, whose engine (drift deadline transform,
 # checkpoint client) dies before the slot is recycled -- and the
 # rthv_batch_cli test drives the CLI's overflow and bad-value paths.

@@ -16,7 +16,9 @@
 //   --jobs N|auto     override the spec's worker count
 //   --chunk N         override the spec's steal-chunk size
 // A malformed --jobs/--chunk value (zero, non-numeric, too large) prints
-// the usage text and exits 2.
+// the usage text and exits 2. A bad spec -- unreadable, malformed, or a
+// campaign that completes no IRQ at all ("runs": 0, "irqs": 0,
+// "horizon_ms": 0) -- prints an error and exits 1.
 //
 // Campaign spec: one flat JSON object; unknown keys are rejected so typos
 // fail loudly. All keys are optional:
@@ -282,6 +284,7 @@ int main(int argc, char** argv) {
     for (auto& run : runs) merged.merge(std::move(run));
 
     const auto& all = merged.recorder.all();
+    if (all.empty()) throw std::runtime_error("no completions: the campaign completed no IRQ");
     std::cout << "=== rthv_batch: " << spec.runs << " runs x " << spec.irqs
               << " IRQs (" << spec.mode << ", lambda " << spec.lambda_us
               << "us, d_min " << d_min.as_us() << "us) ===\n";

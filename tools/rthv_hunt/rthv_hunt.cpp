@@ -10,7 +10,7 @@
 //   rthv_hunt [config.ini|--baseline] [options]
 // Options:
 //   --seed N               campaign seed (default 1)
-//   --jobs N               worker replicas / threads (default 1)
+//   --jobs N|auto          campaign workers (default 1; same output for any N)
 //   --generations N        search generations (default 8)
 //   --population N         candidates per generation (default 16)
 //   --horizon-ms N         simulated run length (default 100)
@@ -28,6 +28,9 @@
 //   --expect-finding       exit 1 when the hunt comes up empty (CI smoke)
 //   --repro-out FILE       write the minimized reproducer plan
 //
+// A malformed --jobs/--generations/--population value (zero, negative,
+// non-numeric, too large) prints the usage text and exits 2.
+//
 // Every finding is replayed standalone (fresh system, reproducer armed at
 // t=0) before it is reported; a finding that fails to replay is a bug in
 // the snapshot layer and aborts with exit 3.
@@ -35,12 +38,15 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/config_loader.hpp"
 #include "core/hypervisor_system.hpp"
+#include "exp/cli.hpp"
 #include "fault/fault_engine.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/hunt.hpp"
@@ -53,7 +59,7 @@ using sim::TimePoint;
 namespace {
 
 void usage() {
-  std::cerr << "usage: rthv_hunt [config.ini|--baseline] [--seed N] [--jobs N]\n"
+  std::cerr << "usage: rthv_hunt [config.ini|--baseline] [--seed N] [--jobs N|auto]\n"
                "  [--generations N] [--population N] [--horizon-ms N]\n"
                "  [--fork-ms T | --fork-slot N | --fork-depth K] [--weaken DIV]\n"
                "  [--base-plan FILE] [--corpus FILE]... [--exp MEAN_US COUNT]\n"
@@ -68,6 +74,15 @@ std::int64_t parse_int(const char* flag, const char* value) {
     std::cerr << "error: " << flag << " needs an integer, got '" << value << "'\n";
     std::exit(2);
   }
+}
+
+/// A positive count that fits in 32 bits; usage + exit 2 otherwise.
+std::uint32_t require_count(std::optional<std::size_t> value) {
+  if (!value || *value > std::numeric_limits<std::uint32_t>::max()) {
+    usage();
+    std::exit(2);
+  }
+  return static_cast<std::uint32_t>(*value);
 }
 
 }  // namespace
@@ -115,15 +130,13 @@ int main(int argc, char** argv) {
         hunt.seed = static_cast<std::uint64_t>(parse_int("--seed", argv[++i]));
       } else if (std::strcmp(argv[i], "--jobs") == 0) {
         need(1);
-        hunt.jobs = static_cast<std::uint32_t>(parse_int("--jobs", argv[++i]));
+        hunt.jobs = require_count(exp::parse_jobs(argv[++i]));
       } else if (std::strcmp(argv[i], "--generations") == 0) {
         need(1);
-        hunt.generations =
-            static_cast<std::uint32_t>(parse_int("--generations", argv[++i]));
+        hunt.generations = require_count(exp::parse_count(argv[++i]));
       } else if (std::strcmp(argv[i], "--population") == 0) {
         need(1);
-        hunt.population =
-            static_cast<std::uint32_t>(parse_int("--population", argv[++i]));
+        hunt.population = require_count(exp::parse_count(argv[++i]));
       } else if (std::strcmp(argv[i], "--horizon-ms") == 0) {
         need(1);
         hunt.horizon = Duration::ms(parse_int("--horizon-ms", argv[++i]));
