@@ -65,14 +65,6 @@ RunOut run(const core::SystemConfig& cfg, Duration lambda, Duration floor,
                 system.recorder().fraction(stats::HandlingClass::kInterposed)};
 }
 
-Duration c_bh_eff_of(const core::SystemConfig& cfg) {
-  const hw::CpuModel cpu(cfg.platform.cpu_freq_hz, cfg.platform.cpi_milli);
-  const hw::MemorySystem mem(cfg.platform.ctx_invalidate_instructions,
-                             cfg.platform.ctx_writeback_cycles);
-  const hv::OverheadModel oh(cpu, mem, cfg.overheads);
-  return oh.effective_bottom_cost(cfg.sources[0].c_bottom);
-}
-
 using Row = std::vector<std::string>;
 
 }  // namespace
@@ -93,7 +85,9 @@ int main(int argc, char** argv) {
   // so no run grows tables mid-measurement.
   base.sim_horizon_hint = Duration::s(600);
   base.expected_pending_events = 128;
-  const Duration c_bh_eff = c_bh_eff_of(base);
+  const Duration c_bh_eff =
+      hv::OverheadModel(base.platform, base.overheads).effective_bottom_cost(
+          base.sources[0].c_bottom);
   const auto lambda = Duration::ns(c_bh_eff.count_ns() * 10);  // 10% load
 
   // --- 1. TDMA cycle length sweep -----------------------------------------
@@ -160,8 +154,10 @@ int main(int argc, char** argv) {
       const std::uint64_t instr = instrs[i];
       auto cfg = base;
       cfg.platform.ctx_invalidate_instructions = instr;
-      cfg.platform.ctx_writeback_cycles = instr;
-      const Duration eff = c_bh_eff_of(cfg);
+      // One sweep value serves as both the instruction and the cycle part.
+      cfg.platform.ctx_writeback_cycles = hw::Cycles{instr};
+      const hv::OverheadModel oh(cfg.platform, cfg.overheads);
+      const Duration eff = oh.effective_bottom_cost(cfg.sources[0].c_bottom);
       // Keep the load definition consistent with the platform's C'_BH.
       const auto lam = Duration::ns(eff.count_ns() * 10);
       auto mon_cfg = cfg;
@@ -172,10 +168,7 @@ int main(int argc, char** argv) {
       const auto unmon = run(cfg, lam, lam, kIrqs, 300);
       const double speedup = static_cast<double>(unmon.avg.count_ns()) /
                              static_cast<double>(mon.avg.count_ns());
-      const hw::CpuModel cpu(cfg.platform.cpu_freq_hz, cfg.platform.cpi_milli);
-      return {stats::Table::num(
-                  (cpu.instructions_to_duration(instr) + cpu.cycles_to_duration(instr))
-                      .as_us()),
+      return {stats::Table::num(oh.context_switch_cost().as_us()),
               stats::Table::num(eff.as_us()), stats::Table::num(mon.avg.as_us()),
               stats::Table::num(unmon.avg.as_us()), stats::Table::num(speedup, 2) + "x"};
     });
@@ -317,11 +310,8 @@ int main(int argc, char** argv) {
   stats::Table t6({"subscriber slots", "analytic delayed WCRT [us]", "sim avg [us]",
                    "sim max [us]", "ctx switches/s"});
   {
-    const hw::CpuModel cpu(base.platform.cpu_freq_hz, base.platform.cpi_milli);
-    const hw::MemorySystem mem(base.platform.ctx_invalidate_instructions,
-                               base.platform.ctx_writeback_cycles);
-    const hv::OverheadModel oh_model(cpu, mem, base.overheads);
-    const Duration entry_oh = oh_model.tdma_tick_cost() + oh_model.context_switch_cost();
+    const hv::OverheadModel oh(base.platform, base.overheads);
+    const Duration entry_oh = oh.tdma_tick_cost() + oh.context_switch_cost();
 
     // Jobs 0..2: split schedules; job 3: the interposing reference row.
     const std::vector<std::uint32_t> parts_list = {1, 2, 4};

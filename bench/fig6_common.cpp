@@ -17,18 +17,6 @@ namespace rthv::bench {
 
 using sim::Duration;
 
-namespace {
-
-Duration effective_bottom(const core::SystemConfig& cfg) {
-  const hw::CpuModel cpu(cfg.platform.cpu_freq_hz, cfg.platform.cpi_milli);
-  const hw::MemorySystem mem(cfg.platform.ctx_invalidate_instructions,
-                             cfg.platform.ctx_writeback_cycles);
-  const hv::OverheadModel oh(cpu, mem, cfg.overheads);
-  return oh.effective_bottom_cost(cfg.sources[0].c_bottom);
-}
-
-}  // namespace
-
 Fig6Result run_fig6(const Fig6Config& config) {
   auto base = core::SystemConfig::paper_baseline();
   // Single-core experiment: every partition and the measured source live on
@@ -37,7 +25,9 @@ Fig6Result run_fig6(const Fig6Config& config) {
   base.interconnect.num_cores = 1;
   for (auto& p : base.partitions) p.core = 0;
   for (auto& s : base.sources) s.core = 0;
-  const Duration c_bh_eff = effective_bottom(base);
+  const Duration c_bh_eff =
+      hv::OverheadModel(base.platform, base.overheads).effective_bottom_cost(
+          base.sources[0].c_bottom);
   // d_min fixed at the highest configured load's lambda.
   int max_load = 1;
   for (const int l : config.load_percent) max_load = std::max(max_load, l);

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include "analysis/irq_latency.hpp"
+#include "core/checked.hpp"
 #include "core/hypervisor_system.hpp"
 #include "mon/learning_monitor.hpp"
 #include "mon/monitor.hpp"
@@ -148,7 +149,7 @@ void BM_BusyWindowSolve(benchmark::State& state) {
       analysis::ArrivalCurve(analysis::make_sporadic(Duration::us(1444))),
       Duration::us(5)));
   problem.interference.push_back([](Duration w) {
-    return Duration::us(8000) * Duration::ceil_div(w, Duration::us(14000));
+    return Duration::us(8000) * core::ceil_div(w, Duration::us(14000));
   });
   const analysis::BusyWindowSolver solver(problem);
   for (auto _ : state) {

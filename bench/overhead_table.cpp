@@ -30,10 +30,10 @@ namespace {
 
 struct RunStats {
   std::uint64_t ctx_switches;
-  std::uint64_t monitor_cycles;
-  std::uint64_t sched_cycles;
-  std::uint64_t ctx_cycles;
-  std::uint64_t writeback_cycles;
+  hw::Cycles monitor_cycles;
+  hw::Cycles sched_cycles;
+  hw::Cycles ctx_cycles;
+  hw::Cycles writeback_cycles;
   std::uint64_t monitor_checks;
 };
 
@@ -64,10 +64,7 @@ RunStats run_scenario(bool monitored, Duration lambda, Duration d_min,
 
 int main() {
   const auto cfg = core::SystemConfig::paper_baseline();
-  const hw::CpuModel cpu(cfg.platform.cpu_freq_hz, cfg.platform.cpi_milli);
-  const hw::MemorySystem mem(cfg.platform.ctx_invalidate_instructions,
-                             cfg.platform.ctx_writeback_cycles);
-  const hv::OverheadModel oh(cpu, mem, cfg.overheads);
+  const hv::OverheadModel oh(cfg.platform, cfg.overheads);
 
   std::cout << "=== Section 6.2 -- memory and runtime overhead ===\n\n";
 
@@ -132,14 +129,15 @@ int main() {
   stats::Table measured({"quantity", "unmonitored", "monitored", "paper"});
   measured.add_row({"monitor checks (C_Mon paid)", "0",
                     std::to_string(mon_hi.monitor_checks), "-"});
-  measured.add_row({"monitor cycles", std::to_string(unmon_hi.monitor_cycles),
-                    std::to_string(mon_hi.monitor_cycles), "128/check"});
-  measured.add_row({"sched-manipulation cycles", std::to_string(unmon_hi.sched_cycles),
-                    std::to_string(mon_hi.sched_cycles), "877/interpose + tick"});
-  measured.add_row({"context-switch cycles", std::to_string(unmon_hi.ctx_cycles),
-                    std::to_string(mon_hi.ctx_cycles), "5000/switch"});
-  measured.add_row({"cache-writeback cycles", std::to_string(unmon_hi.writeback_cycles),
-                    std::to_string(mon_hi.writeback_cycles), "5000/switch"});
+  const auto str = [](hw::Cycles c) { return std::to_string(c.count()); };
+  measured.add_row({"monitor cycles", str(unmon_hi.monitor_cycles),
+                    str(mon_hi.monitor_cycles), "128/check"});
+  measured.add_row({"sched-manipulation cycles", str(unmon_hi.sched_cycles),
+                    str(mon_hi.sched_cycles), "877/interpose + tick"});
+  measured.add_row({"context-switch cycles", str(unmon_hi.ctx_cycles),
+                    str(mon_hi.ctx_cycles), "5000/switch"});
+  measured.add_row({"cache-writeback cycles", str(unmon_hi.writeback_cycles),
+                    str(mon_hi.writeback_cycles), "5000/switch"});
   measured.write(std::cout);
   return 0;
 }

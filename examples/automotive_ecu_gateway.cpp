@@ -76,8 +76,7 @@ int main() {
   std::cout << "\nmonitor verdicts: " << monitor->admitted() << " admitted, "
             << monitor->denied() << " denied (" << irq.interpose_started
             << " interpositions started)\n";
-  const hv::OverheadModel oh(system.platform().cpu(), system.platform().memory(),
-                             cfg.overheads);
+  const hv::OverheadModel& oh = system.hypervisor().overheads();
   std::cout << "interference bound on diagnostics: at most one interposition per "
             << monitor->enforced()[0].as_us() << "us, each costing at most "
             << oh.effective_bottom_cost(can_rx.c_bottom).as_us()

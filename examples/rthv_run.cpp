@@ -136,10 +136,7 @@ int main(int argc, char** argv) {
 
   // Default workload: ~10 % load per source.
   if (traces.empty()) {
-    const hw::CpuModel cpu(config.platform.cpu_freq_hz, config.platform.cpi_milli);
-    const hw::MemorySystem mem(config.platform.ctx_invalidate_instructions,
-                               config.platform.ctx_writeback_cycles);
-    const hv::OverheadModel oh(cpu, mem, config.overheads);
+    const hv::OverheadModel oh(config.platform, config.overheads);
     for (const auto& src : config.sources) {
       const auto lambda =
           Duration::ns(oh.effective_bottom_cost(src.c_bottom).count_ns() * 10);

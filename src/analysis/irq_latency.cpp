@@ -8,7 +8,7 @@
 namespace rthv::analysis {
 
 sim::Duration effective_bottom_cost(sim::Duration c_bottom, const OverheadTimes& oh) {
-  // C'_BH = C_BH + C_sched + 2 * C_ctx (Eq. 8).
+  // C'_BH = C_BH + C_sched + 2 * C_ctx (Eq. 13).
   const sim::Duration switches =
       core::checked_mul(oh.c_ctx, std::int64_t{2}, "analysis/effective-bottom");
   return core::checked_add(core::checked_add(c_bottom, oh.c_sched,
@@ -36,7 +36,7 @@ sim::Duration interposed_interference(sim::Duration dt, sim::Duration d_min,
                                       sim::Duration effective_bottom) {
   RTHV_PRECONDITION(d_min.is_positive(), "analysis/interposed-dmin-positive");
   if (!dt.is_positive()) return sim::Duration::zero();
-  // I(dt) = ceil(dt / d_min) * C'_BH (Eq. 7).
+  // I(dt) = ceil(dt / d_min) * C'_BH (Eq. 14).
   const std::int64_t n = core::ceil_div(dt, d_min, "analysis/interposed-count");
   return core::checked_mul(effective_bottom, n, "analysis/interposed-interference");
 }

@@ -3,26 +3,10 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "hw/cpu_model.hpp"
-#include "hw/memory_system.hpp"
-#include "hv/overhead_model.hpp"
-
 namespace rthv::core {
 
-AnalysisFacade::AnalysisFacade(const SystemConfig& config) : config_(config) {
-  const hw::CpuModel cpu(config_.platform.cpu_freq_hz, config_.platform.cpi_milli);
-  const hw::MemorySystem memory(config_.platform.ctx_invalidate_instructions,
-                                config_.platform.ctx_writeback_cycles);
-  const hv::OverheadModel oh(cpu, memory, config_.overheads);
-  c_mon_ = oh.monitor_cost();
-  c_sched_ = oh.sched_manipulation_cost();
-  c_ctx_ = oh.context_switch_cost();
-  c_tick_ = oh.tdma_tick_cost();
-}
-
-analysis::OverheadTimes AnalysisFacade::overhead_times() const {
-  return analysis::OverheadTimes{c_mon_, c_sched_, c_ctx_};
-}
+AnalysisFacade::AnalysisFacade(const SystemConfig& config)
+    : config_(config), overheads_(config_.platform, config_.overheads) {}
 
 analysis::TdmaModel AnalysisFacade::tdma_model(std::uint32_t source_index) const {
   if (source_index >= config_.sources.size()) {
@@ -31,7 +15,8 @@ analysis::TdmaModel AnalysisFacade::tdma_model(std::uint32_t source_index) const
   const auto& src = config_.sources[source_index];
   return analysis::TdmaModel{config_.tdma_cycle(),
                              config_.partitions.at(src.subscriber).slot_length,
-                             c_tick_ + c_ctx_};
+                             overheads_.tdma_tick_cost() +
+                                 overheads_.context_switch_cost()};
 }
 
 analysis::IrqSourceModel AnalysisFacade::source_model(

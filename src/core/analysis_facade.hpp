@@ -8,6 +8,7 @@
 
 #include "analysis/irq_latency.hpp"
 #include "core/system_config.hpp"
+#include "hv/overhead_model.hpp"
 
 namespace rthv::core {
 
@@ -21,7 +22,9 @@ class AnalysisFacade {
   explicit AnalysisFacade(const SystemConfig& config);
 
   /// Overhead constants converted to time on the configured platform.
-  [[nodiscard]] analysis::OverheadTimes overhead_times() const;
+  [[nodiscard]] analysis::OverheadTimes overhead_times() const {
+    return overheads_.times();
+  }
 
   /// TDMA cycle and the subscriber's slot for a source.
   [[nodiscard]] analysis::TdmaModel tdma_model(std::uint32_t source_index) const;
@@ -49,10 +52,7 @@ class AnalysisFacade {
 
  private:
   SystemConfig config_;
-  sim::Duration c_mon_;
-  sim::Duration c_sched_;
-  sim::Duration c_ctx_;
-  sim::Duration c_tick_;
+  hv::OverheadModel overheads_;
 };
 
 }  // namespace rthv::core

@@ -4,7 +4,12 @@
 #include <cctype>
 #include <fstream>
 #include <functional>
+#include <limits>
+#include <map>
 #include <sstream>
+
+#include "core/checked.hpp"
+#include "hv/overhead_model.hpp"
 
 namespace rthv::core {
 
@@ -26,6 +31,33 @@ std::int64_t parse_int(std::size_t line, const std::string& value) {
   } catch (const std::exception&) {
     throw ConfigError(line, "expected an integer, got '" + value + "'");
   }
+}
+
+/// A cost budget (instructions or cycles): any non-negative integer.
+std::uint64_t parse_budget(std::size_t line, const std::string& key,
+                           const std::string& value) {
+  const std::int64_t v = parse_int(line, value);
+  if (v < 0) throw ConfigError(line, key + " must not be negative, got " + value);
+  return static_cast<std::uint64_t>(v);
+}
+
+/// A microsecond length; values past the simulated time range are errors.
+sim::Duration parse_us(std::size_t line, const std::string& key,
+                       const std::string& value) {
+  const std::int64_t us = parse_int(line, value);
+  try {
+    return sim::Duration::us(us);
+  } catch (const std::overflow_error&) {
+    throw ConfigError(line, key + " overflows simulated time, got " + value);
+  }
+}
+
+/// A handler cost in microseconds: a non-negative parse_us().
+sim::Duration parse_cost_us(std::size_t line, const std::string& key,
+                            const std::string& value) {
+  const sim::Duration cost = parse_us(line, key, value);
+  if (cost.is_negative()) throw ConfigError(line, key + " must not be negative, got " + value);
+  return cost;
 }
 
 std::uint32_t parse_mask(std::size_t line, const std::string& value) {
@@ -63,11 +95,22 @@ mon::DeltaVector parse_delta_vector(std::size_t line, const std::string& value) 
   std::istringstream ss(value);
   std::string token;
   while (ss >> token) {
-    out.push_back(sim::Duration::us(parse_int(line, token)));
+    out.push_back(parse_us(line, "delta_vector_us", token));
   }
   if (out.empty()) throw ConfigError(line, "empty delta vector");
   return out;
 }
+
+/// Monitors whose d_min (window, fill interval) must be positive.
+bool needs_d_min(MonitorKind kind) {
+  return kind == MonitorKind::kDeltaMin || kind == MonitorKind::kTokenBucket ||
+         kind == MonitorKind::kWindowCount;
+}
+
+/// Where a [source]'s checked keys were set (the section header when unset).
+struct SourceLines {
+  std::size_t subscriber, c_bottom, d_min;
+};
 
 }  // namespace
 
@@ -83,6 +126,8 @@ SystemConfig load_config(std::istream& is) {
   Section section = Section::kNone;
   std::size_t line_no = 0;
   std::string line;
+  std::map<std::string, std::size_t, std::less<>> budget_lines;  // key -> line
+  std::vector<SourceLines> source_lines;
 
   auto current_partition = [&]() -> PartitionSpec& {
     if (cfg.partitions.empty()) throw ConfigError(line_no, "no [partition] open");
@@ -119,6 +164,7 @@ SystemConfig load_config(std::istream& is) {
       } else if (name == "source") {
         section = Section::kSource;
         cfg.sources.push_back(IrqSourceSpec{});
+        source_lines.push_back({line_no, line_no, line_no});
       } else if (name == "slot") {
         section = Section::kSlot;
         cfg.schedule.push_back(ScheduleSlot{0, sim::Duration::zero()});
@@ -152,13 +198,17 @@ SystemConfig load_config(std::istream& is) {
           }
           cfg.platform.cpu_freq_hz = static_cast<std::uint64_t>(hz);
         } else if (key == "cpi_milli") {
-          cfg.platform.cpi_milli = static_cast<std::uint32_t>(parse_int(line_no, value));
+          const std::int64_t cpi = parse_int(line_no, value);
+          if (cpi <= 0 || cpi > std::numeric_limits<std::uint32_t>::max()) {
+            throw ConfigError(line_no, "cpi_milli out of range (1 .. 2^32-1), got " + value);
+          }
+          cfg.platform.cpi_milli = static_cast<std::uint32_t>(cpi);
         } else if (key == "ctx_invalidate_instructions") {
-          cfg.platform.ctx_invalidate_instructions =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+          cfg.platform.ctx_invalidate_instructions = parse_budget(line_no, key, value);
+          budget_lines[key] = line_no;
         } else if (key == "ctx_writeback_cycles") {
-          cfg.platform.ctx_writeback_cycles =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+          cfg.platform.ctx_writeback_cycles = hw::Cycles{parse_budget(line_no, key, value)};
+          budget_lines[key] = line_no;
         } else if (key == "num_irq_lines") {
           cfg.platform.num_irq_lines = static_cast<std::uint32_t>(parse_int(line_no, value));
         } else {
@@ -167,24 +217,22 @@ SystemConfig load_config(std::istream& is) {
         break;
       case Section::kOverheads:
         if (key == "monitor_instructions") {
-          cfg.overheads.monitor_instructions =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+          cfg.overheads.monitor_instructions = parse_budget(line_no, key, value);
         } else if (key == "sched_manipulation_instructions") {
-          cfg.overheads.sched_manipulation_instructions =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+          cfg.overheads.sched_manipulation_instructions = parse_budget(line_no, key, value);
         } else if (key == "tdma_tick_instructions") {
-          cfg.overheads.tdma_tick_instructions =
-              static_cast<std::uint64_t>(parse_int(line_no, value));
+          cfg.overheads.tdma_tick_instructions = parse_budget(line_no, key, value);
         } else {
           throw ConfigError(line_no, "unknown overheads key '" + key + "'");
         }
+        budget_lines[key] = line_no;
         break;
       case Section::kMode:
         if (key == "interposing") {
           cfg.mode = parse_bool(line_no, value) ? hv::TopHandlerMode::kInterposing
                                                 : hv::TopHandlerMode::kOriginal;
         } else if (key == "background_quantum_us") {
-          cfg.background_quantum = sim::Duration::us(parse_int(line_no, value));
+          cfg.background_quantum = parse_us(line_no, key, value);
         } else if (key == "irq_queue_capacity") {
           cfg.irq_queue_capacity = static_cast<std::size_t>(parse_int(line_no, value));
         } else {
@@ -197,7 +245,7 @@ SystemConfig load_config(std::istream& is) {
         } else if (key == "colors") {
           cfg.interconnect.num_colors = static_cast<std::uint32_t>(parse_int(line_no, value));
         } else if (key == "epoch_us") {
-          cfg.interconnect.epoch = sim::Duration::us(parse_int(line_no, value));
+          cfg.interconnect.epoch = parse_us(line_no, key, value);
         } else if (key == "base_access_ns") {
           cfg.interconnect.base_access_ns =
               static_cast<std::uint32_t>(parse_int(line_no, value));
@@ -208,7 +256,7 @@ SystemConfig load_config(std::istream& is) {
           cfg.interconnect.half_load_accesses =
               static_cast<std::uint64_t>(parse_int(line_no, value));
         } else if (key == "route_latency_us") {
-          cfg.interconnect.route_latency = sim::Duration::us(parse_int(line_no, value));
+          cfg.interconnect.route_latency = parse_us(line_no, key, value);
         } else if (key == "route_accesses") {
           cfg.interconnect.route_accesses =
               static_cast<std::uint64_t>(parse_int(line_no, value));
@@ -225,7 +273,7 @@ SystemConfig load_config(std::istream& is) {
               static_cast<std::uint64_t>(parse_int(line_no, value));
         } else if (key == "replenish_us") {
           cfg.interconnect.budgets.back().replenish_period =
-              sim::Duration::us(parse_int(line_no, value));
+              parse_us(line_no, key, value);
         } else {
           throw ConfigError(line_no, "unknown core key '" + key + "'");
         }
@@ -234,11 +282,11 @@ SystemConfig load_config(std::istream& is) {
         if (key == "name") {
           current_partition().name = value;
         } else if (key == "slot_us") {
-          const std::int64_t us = parse_int(line_no, value);
-          if (us <= 0) {
+          const sim::Duration slot = parse_us(line_no, key, value);
+          if (!slot.is_positive()) {
             throw ConfigError(line_no, "slot_us out of range (must be positive), got " + value);
           }
-          current_partition().slot_length = sim::Duration::us(us);
+          current_partition().slot_length = slot;
         } else if (key == "background_load") {
           current_partition().background_load = parse_bool(line_no, value);
         } else if (key == "core") {
@@ -256,15 +304,22 @@ SystemConfig load_config(std::istream& is) {
         if (key == "name") {
           current_source().name = value;
         } else if (key == "subscriber") {
-          current_source().subscriber = static_cast<std::uint32_t>(parse_int(line_no, value));
+          const std::int64_t p = parse_int(line_no, value);
+          if (p < 0 || p > std::numeric_limits<std::uint32_t>::max()) {
+            throw ConfigError(line_no, "subscriber out of range, got " + value);
+          }
+          current_source().subscriber = static_cast<std::uint32_t>(p);
+          source_lines.back().subscriber = line_no;
         } else if (key == "c_top_us") {
-          current_source().c_top = sim::Duration::us(parse_int(line_no, value));
+          current_source().c_top = parse_cost_us(line_no, key, value);
         } else if (key == "c_bottom_us") {
-          current_source().c_bottom = sim::Duration::us(parse_int(line_no, value));
+          current_source().c_bottom = parse_cost_us(line_no, key, value);
+          source_lines.back().c_bottom = line_no;
         } else if (key == "monitor") {
           current_source().monitor = parse_monitor(line_no, value);
         } else if (key == "d_min_us") {
-          current_source().d_min = sim::Duration::us(parse_int(line_no, value));
+          current_source().d_min = parse_us(line_no, key, value);
+          source_lines.back().d_min = line_no;
         } else if (key == "delta_vector_us") {
           current_source().delta_vector = parse_delta_vector(line_no, value);
         } else if (key == "learning_depth") {
@@ -294,7 +349,7 @@ SystemConfig load_config(std::istream& is) {
         if (key == "partition") {
           current_slot().partition = static_cast<std::uint32_t>(parse_int(line_no, value));
         } else if (key == "length_us") {
-          current_slot().length = sim::Duration::us(parse_int(line_no, value));
+          current_slot().length = parse_us(line_no, key, value);
         } else {
           throw ConfigError(line_no, "unknown slot key '" + key + "'");
         }
@@ -337,6 +392,37 @@ SystemConfig load_config(std::istream& is) {
                                   std::to_string(cfg.num_cores()));
     }
   }
+
+  // Convert the cost model once, as the hypervisor will, so a budget past
+  // the simulated time range is reported at its key instead of mid-run.
+  const auto oh = [&] {
+    try {
+      return hv::OverheadModel(cfg.platform, cfg.overheads);
+    } catch (const hv::BudgetOverflow& e) {
+      const auto it = budget_lines.find(e.key());
+      throw ConfigError(it == budget_lines.end() ? line_no : it->second, e.what());
+    }
+  }();
+  for (std::size_t i = 0; i < cfg.sources.size(); ++i) {
+    const IrqSourceSpec& s = cfg.sources[i];
+    const SourceLines& at = source_lines[i];
+    if (s.subscriber >= cfg.partitions.size()) {
+      throw ConfigError(at.subscriber, "subscriber " + std::to_string(s.subscriber) +
+                                           " out of range (" +
+                                           std::to_string(cfg.partitions.size()) +
+                                           " partitions)");
+    }
+    if (needs_d_min(s.monitor) && !s.d_min.is_positive()) {
+      throw ConfigError(at.d_min, "d_min_us must be positive for this monitor");
+    }
+    // The hypervisor charges Eq. 13's C'_BH per interposition.
+    try {
+      (void)oh.effective_bottom_cost(s.c_bottom);
+    } catch (const ArithmeticError&) {
+      throw ConfigError(at.c_bottom,
+                        "c_bottom_us + C_sched + 2 C_ctx overflows simulated time");
+    }
+  }
   return cfg;
 }
 
@@ -351,7 +437,7 @@ void save_config(std::ostream& os, const SystemConfig& cfg) {
      << "cpu_freq_hz = " << cfg.platform.cpu_freq_hz << "\n"
      << "cpi_milli = " << cfg.platform.cpi_milli << "\n"
      << "ctx_invalidate_instructions = " << cfg.platform.ctx_invalidate_instructions << "\n"
-     << "ctx_writeback_cycles = " << cfg.platform.ctx_writeback_cycles << "\n"
+     << "ctx_writeback_cycles = " << cfg.platform.ctx_writeback_cycles.count() << "\n"
      << "num_irq_lines = " << cfg.platform.num_irq_lines << "\n\n";
   os << "[overheads]\n"
      << "monitor_instructions = " << cfg.overheads.monitor_instructions << "\n"

@@ -44,7 +44,13 @@
 //     partition = 0
 //     length_us = 3000
 //
-// Unknown keys and malformed lines raise ConfigError with the line number.
+// Unknown keys and malformed lines raise ConfigError with the line number,
+// and so do values the system could not run: a negative cost budget or
+// handler cost (c_top_us, c_bottom_us), a cpi_milli <= 0, a length or
+// budget past the simulated time range (the cost model is converted once
+// at load, as the hypervisor will), a non-positive d_min_us for a
+// delta_min / token_bucket / window_count monitor, and a subscriber that
+// names no partition.
 #pragma once
 
 #include <iosfwd>

@@ -65,7 +65,6 @@ HypervisorSystem::HypervisorSystem(const SystemConfig& config)
   platform_ = std::make_unique<hw::Platform>(sim_, config_.platform);
   hv_ = std::make_unique<hv::Hypervisor>(*platform_, config_.overheads);
   hv_->set_top_handler_mode(config_.mode);
-  hv_->set_batched_top_half(config_.batched_top_half);
 
   std::vector<hv::TdmaSlot> slots;
   for (const auto& p : config_.partitions) {

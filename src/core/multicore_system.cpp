@@ -68,7 +68,6 @@ MulticoreSystem::MulticoreSystem(const SystemConfig& config) : config_(config) {
     cc.mode = config_.mode;
     cc.background_quantum = config_.background_quantum;
     cc.irq_queue_capacity = config_.irq_queue_capacity;
-    cc.batched_top_half = config_.batched_top_half;
     cc.expected_pending_events = config_.expected_pending_events;
     cc.sim_horizon_hint = config_.sim_horizon_hint;
     // The per-core configs stay single-core: the shared interconnect is

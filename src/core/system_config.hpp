@@ -96,9 +96,6 @@ struct SystemConfig {
   /// Background-task chunk size (guest preemption granularity).
   sim::Duration background_quantum = sim::Duration::ms(1);
   std::size_t irq_queue_capacity = 256;
-  /// One IRQ entry drains every latched line in a single batched top-half
-  /// pass (off = one line per entry, as the unbatched hypervisor behaved).
-  bool batched_top_half = true;
 
   /// Pre-sizing hints for the simulator's timer-wheel event core. Zero
   /// means "grow lazily"; experiment drivers set these from the sweep plan

@@ -25,18 +25,22 @@ std::size_t require(std::optional<std::size_t> value, const char* argv0) {
 
 }  // namespace
 
-std::optional<std::size_t> parse_count(std::string_view value) {
-  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+std::optional<std::uint64_t> parse_uint(std::string_view value, std::uint64_t min,
+                                        std::uint64_t max) {
   if (value.empty()) return std::nullopt;
-  std::size_t n = 0;
+  std::uint64_t n = 0;
   for (const char c : value) {
     if (c < '0' || c > '9') return std::nullopt;
-    const auto digit = static_cast<std::size_t>(c - '0');
-    if (n > (kMax - digit) / 10) return std::nullopt;  // n * 10 + digit overflows
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (digit > max || n > (max - digit) / 10) return std::nullopt;  // n*10+digit > max
     n = n * 10 + digit;
   }
-  if (n == 0) return std::nullopt;
+  if (n < min) return std::nullopt;
   return n;
+}
+
+std::optional<std::size_t> parse_count(std::string_view value) {
+  return parse_uint(value, 1, std::numeric_limits<std::size_t>::max());
 }
 
 std::optional<std::size_t> parse_jobs(std::string_view value) {

@@ -11,6 +11,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,6 +32,12 @@ struct CliOptions {
 /// Parses argv (past argv[0]). Exits with code 2 and a usage message on
 /// stderr for a malformed --jobs or --chunk value.
 [[nodiscard]] CliOptions parse_cli(int argc, char** argv);
+
+/// Parses a decimal integer in [min, max]. nullopt for an empty value, a
+/// non-digit character (so any sign), or a value outside the range.
+[[nodiscard]] std::optional<std::uint64_t> parse_uint(
+    std::string_view value, std::uint64_t min = 0,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /// Parses a positive decimal count. nullopt for an empty value, a non-digit
 /// character, zero, or a value that does not fit in size_t.

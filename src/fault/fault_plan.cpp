@@ -116,7 +116,7 @@ void apply_key(InjectionSpec& spec, std::string_view key, std::string_view value
   } else if (key == "start_us") {
     spec.start = sim::TimePoint::at_us(i64());
   } else if (key == "start_ms") {
-    spec.start = sim::TimePoint::at_ns(i64() * 1'000'000);
+    spec.start = sim::TimePoint::origin() + Duration::ms(i64());
   } else if (key == "count" || key == "bursts" || key == "boundaries") {
     spec.count = u64();
   } else if (key == "burst_len") {
@@ -233,20 +233,23 @@ FaultPlan load_fault_plan(std::istream& in) {
     }
     const std::string_view key = trim(text.substr(0, eq));
     const std::string_view value = trim(text.substr(eq + 1));
-    if (in_campaign) {
-      if (key == "horizon_ms") {
+    if (!in_campaign && current == nullptr) {
+      throw FaultPlanError(line_no, "key outside of any section");
+    }
+    try {
+      if (!in_campaign) {
+        apply_key(*current, key, value, line_no);
+      } else if (key == "horizon_ms") {
         plan.horizon = Duration::ms(parse_int(value, line_no));
       } else if (key == "horizon_s") {
         plan.horizon = Duration::s(parse_int(value, line_no));
       } else {
         throw FaultPlanError(line_no, "unknown key '" + std::string(key) + "'");
       }
-      continue;
+    } catch (const std::overflow_error&) {
+      throw FaultPlanError(line_no, std::string(key) + " overflows simulated time, got '" +
+                                        std::string(value) + "'");
     }
-    if (current == nullptr) {
-      throw FaultPlanError(line_no, "key outside of any section");
-    }
-    apply_key(*current, key, value, line_no);
   }
   if (current != nullptr) validate(*current, section_line);
   return plan;

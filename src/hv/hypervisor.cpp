@@ -18,7 +18,7 @@ using sim::TimePoint;
 using Reason = Hypervisor::ContextChange::Reason;
 
 Hypervisor::Hypervisor(hw::Platform& platform, const OverheadConfig& overheads)
-    : platform_(platform), overheads_(platform.cpu(), platform.memory(), overheads) {
+    : platform_(platform), overheads_(platform.config(), overheads) {
   lines_.resize(platform_.intc().num_lines());
   health_.set_trace(&trace_ring_);
 }
@@ -258,12 +258,11 @@ void Hypervisor::service_batch() {
   Duration total_top;
   // Collect latched device lines in priority order (lowest line first),
   // acknowledging each -- the batched top half runs all their top handlers
-  // back-to-back in this one IRQ-context entry. A batch limit of 1
-  // reproduces the unbatched hypervisor exactly: remaining latches are
-  // re-delivered by the controller when interrupts re-enable.
-  for (std::size_t w = 0; w < intc.num_words() && batch_.count < batch_limit_; ++w) {
+  // back-to-back in this one IRQ-context entry. Latches beyond the batch
+  // capacity are re-delivered by the controller when interrupts re-enable.
+  for (std::size_t w = 0; w < intc.num_words() && batch_.count < IrqBatch::kCapacity; ++w) {
     std::uint64_t m = intc.pending_word(w);
-    while (m != 0 && batch_.count < batch_limit_) {
+    while (m != 0 && batch_.count < IrqBatch::kCapacity) {
       const auto line = static_cast<hw::IrqLine>(
           w * 64 + static_cast<std::size_t>(std::countr_zero(m)));
       m &= m - 1;

@@ -6,8 +6,8 @@ Platform::Platform(sim::Simulator& simulator, const PlatformConfig& config)
     : sim_(simulator),
       cpu_(config.cpu_freq_hz, config.cpi_milli),
       intc_(config.num_irq_lines),
-      memory_(config.ctx_invalidate_instructions, config.ctx_writeback_cycles),
-      timestamp_(simulator) {
+      timestamp_(simulator),
+      config_(config) {
   intc_.set_clock(&sim_);
   intc_.set_direct_delivery_cost(
       cpu_.cycles_to_duration(config.direct_delivery_cycles));

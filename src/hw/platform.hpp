@@ -1,7 +1,8 @@
 // Aggregate of the simulated hardware platform.
 //
-// Owns the CPU model, interrupt controller, memory system and a set of
-// hardware timers. One instance models one *core*: standalone it is the
+// Owns the CPU model, interrupt controller and a set of hardware timers, and
+// keeps the PlatformConfig it was built from (the hypervisor derives its
+// cost model from it, see hv/overhead_model.hpp). One instance models one *core*: standalone it is the
 // paper's single-core ARM926ej-s evaluation board; on the multi-core
 // platform, core::MulticoreSystem assembles one Platform per core and
 // couples them through a borrowed hw::SharedInterconnect (see
@@ -15,7 +16,6 @@
 #include "hw/cpu_model.hpp"
 #include "hw/hw_timer.hpp"
 #include "hw/interrupt_controller.hpp"
-#include "hw/memory_system.hpp"
 #include "hw/multicore/interconnect.hpp"
 #include "sim/simulator.hpp"
 
@@ -25,11 +25,13 @@ struct PlatformConfig {
   std::uint64_t cpu_freq_hz = 200'000'000;  // ARM926ej-s @ 200 MHz
   std::uint32_t cpi_milli = 1000;           // 1.0 cycles per instruction
   std::uint32_t num_irq_lines = 32;
+  /// Context-switch cost (paper Sec. 6.2): cache/TLB invalidation code plus
+  /// the dirty-line writeback stalls of the memory layout.
   std::uint64_t ctx_invalidate_instructions = 5000;
-  std::uint64_t ctx_writeback_cycles = 5000;
+  Cycles ctx_writeback_cycles{5000};
   /// Fixed hardware cost of the UINTC-style direct-delivery path (raise to
   /// handler start); only lines flagged for direct delivery pay it.
-  std::uint64_t direct_delivery_cycles = 100;
+  Cycles direct_delivery_cycles{100};
 };
 
 class Platform {
@@ -44,7 +46,7 @@ class Platform {
   [[nodiscard]] const CpuModel& cpu() const { return cpu_; }
   [[nodiscard]] InterruptController& intc() { return intc_; }
   [[nodiscard]] const InterruptController& intc() const { return intc_; }
-  [[nodiscard]] MemorySystem& memory() { return memory_; }
+  [[nodiscard]] const PlatformConfig& config() const { return config_; }
   [[nodiscard]] TimestampTimer& timestamp_timer() { return timestamp_; }
 
   /// Couples this platform to a shared interconnect as core `core_id`.
@@ -82,12 +84,12 @@ class Platform {
   sim::Simulator& sim_;
   CpuModel cpu_;
   InterruptController intc_;
-  MemorySystem memory_;  // lint: transient(pure configuration model; no mutable state)
   TimestampTimer timestamp_;  // lint: transient(stateless view over the simulator clock)
   std::vector<std::unique_ptr<HwTimer>> timers_;
   // lint: transient(borrowed shared model; MulticoreSystem snapshots it once)
   SharedInterconnect* interconnect_ = nullptr;
   std::uint32_t core_id_ = 0;  // lint: transient(structural wiring, set at assembly)
+  const PlatformConfig config_;  // last: keeps the hot members' layout
 };
 
 }  // namespace rthv::hw

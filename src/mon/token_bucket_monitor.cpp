@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/checked.hpp"
+
 namespace rthv::mon {
 
 TokenBucketMonitor::TokenBucketMonitor(sim::Duration fill_interval, std::uint32_t depth)
@@ -47,8 +49,7 @@ sim::Duration token_bucket_interference(sim::Duration dt, sim::Duration fill_int
                                         sim::Duration effective_bottom) {
   assert(fill_interval.is_positive());
   if (!dt.is_positive()) return sim::Duration::zero();
-  const std::int64_t admissions =
-      depth + sim::Duration::ceil_div(dt, fill_interval);
+  const std::int64_t admissions = depth + core::ceil_div(dt, fill_interval);
   return effective_bottom * admissions;
 }
 

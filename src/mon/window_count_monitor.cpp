@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "core/checked.hpp"
+
 namespace rthv::mon {
 
 WindowCountMonitor::WindowCountMonitor(sim::Duration window, std::uint32_t max_events)
@@ -41,7 +43,7 @@ sim::Duration window_count_interference(sim::Duration dt, sim::Duration window,
                                         sim::Duration effective_bottom) {
   assert(window.is_positive());
   if (!dt.is_positive()) return sim::Duration::zero();
-  const std::int64_t windows = sim::Duration::ceil_div(dt, window) + 1;
+  const std::int64_t windows = core::ceil_div(dt, window) + 1;
   return effective_bottom * (windows * max_events);
 }
 

@@ -3,8 +3,14 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 namespace rthv::sim {
+
+void detail::throw_time_overflow(std::int64_t value, std::int64_t scale) {
+  throw std::overflow_error(std::to_string(value) + " x " + std::to_string(scale) +
+                            " ns overflows simulated time");
+}
 
 Duration Duration::from_us_f(double v) {
   return Duration{static_cast<std::int64_t>(std::llround(v * 1e3))};

@@ -6,7 +6,9 @@
 // adding two TimePoints, for example, does not compile.
 //
 // A 64-bit nanosecond count overflows after ~292 years of simulated time,
-// far beyond any experiment in this project.
+// far beyond any experiment in this project. The unit factories (us, ms,
+// s, at_us) check their scaling and throw std::overflow_error in every
+// build mode, because config keys and tool flags reach them unvalidated.
 #pragma once
 
 #include <compare>
@@ -16,6 +18,17 @@
 
 namespace rthv::sim {
 
+namespace detail {
+[[noreturn]] void throw_time_overflow(std::int64_t value, std::int64_t scale);
+
+/// value * scale, throwing std::overflow_error instead of wrapping.
+constexpr std::int64_t scaled(std::int64_t value, std::int64_t scale) {
+  std::int64_t ns = 0;
+  if (__builtin_mul_overflow(value, scale, &ns)) throw_time_overflow(value, scale);
+  return ns;
+}
+}  // namespace detail
+
 /// A signed length of simulated time with nanosecond resolution.
 class Duration {
  public:
@@ -23,9 +36,15 @@ class Duration {
 
   /// Named constructors -- prefer these over the raw-count constructor.
   [[nodiscard]] static constexpr Duration ns(std::int64_t v) { return Duration{v}; }
-  [[nodiscard]] static constexpr Duration us(std::int64_t v) { return Duration{v * 1000}; }
-  [[nodiscard]] static constexpr Duration ms(std::int64_t v) { return Duration{v * 1'000'000}; }
-  [[nodiscard]] static constexpr Duration s(std::int64_t v) { return Duration{v * 1'000'000'000}; }
+  [[nodiscard]] static constexpr Duration us(std::int64_t v) {
+    return Duration{detail::scaled(v, 1000)};
+  }
+  [[nodiscard]] static constexpr Duration ms(std::int64_t v) {
+    return Duration{detail::scaled(v, 1'000'000)};
+  }
+  [[nodiscard]] static constexpr Duration s(std::int64_t v) {
+    return Duration{detail::scaled(v, 1'000'000'000)};
+  }
   [[nodiscard]] static constexpr Duration zero() { return Duration{0}; }
   [[nodiscard]] static constexpr Duration max() { return Duration{INT64_MAX}; }
 
@@ -58,11 +77,6 @@ class Duration {
   friend constexpr std::int64_t operator/(Duration a, Duration b) { return a.ns_ / b.ns_; }
   friend constexpr Duration operator%(Duration a, Duration b) { return Duration{a.ns_ % b.ns_}; }
 
-  /// Ceiling division for interference terms of the form ceil(dt / T).
-  [[nodiscard]] static constexpr std::int64_t ceil_div(Duration a, Duration b) {
-    return (a.ns_ + b.ns_ - 1) / b.ns_;
-  }
-
   /// Renders e.g. "1234.5us".
   [[nodiscard]] std::string to_string() const;
 
@@ -78,7 +92,9 @@ class TimePoint {
 
   [[nodiscard]] static constexpr TimePoint origin() { return TimePoint{0}; }
   [[nodiscard]] static constexpr TimePoint at_ns(std::int64_t v) { return TimePoint{v}; }
-  [[nodiscard]] static constexpr TimePoint at_us(std::int64_t v) { return TimePoint{v * 1000}; }
+  [[nodiscard]] static constexpr TimePoint at_us(std::int64_t v) {
+    return TimePoint{detail::scaled(v, 1000)};
+  }
   [[nodiscard]] static constexpr TimePoint max() { return TimePoint{INT64_MAX}; }
 
   [[nodiscard]] constexpr std::int64_t count_ns() const { return ns_; }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checked.hpp"
+
 namespace rthv::analysis {
 namespace {
 
@@ -99,7 +101,7 @@ TEST(ResponseTimeTest, WindowDependentTermHandled) {
   BusyWindowProblem p;
   p.per_event_cost = Duration::us(10);
   p.interference.push_back([](Duration w) {
-    return Duration::us(60) * sim::Duration::ceil_div(w, Duration::us(100));
+    return Duration::us(60) * core::ceil_div(w, Duration::us(100));
   });
   const SporadicModel own(Duration::ms(10));
   const auto r = response_time(p, own);

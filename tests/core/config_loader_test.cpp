@@ -153,6 +153,40 @@ TEST(ConfigLoaderTest, RejectsMalformedInput) {
     std::istringstream is("[partition]\nname = p\n[source]\nmonitor = banana\n");
     EXPECT_THROW((void)load_config(is), ConfigError);
   }
+  // One-key mutations of the baseline: a bad cost or source key is a
+  // ConfigError at that key's line (the [source] header for a missing d_min).
+  const struct {
+    const char* from;
+    const char* to;
+    std::size_t line;
+  } kMutations[] = {
+      {"d_min_us = 1444", "d_min_us = 0", 34},
+      {"d_min_us = 1444", "d_min_us = -5", 34},
+      {"d_min_us = 1444", "", 28},
+      {"subscriber = 1", "subscriber = 9", 30},
+      {"subscriber = 1", "subscriber = -1", 30},
+      {"ctx_writeback_cycles = 5000", "ctx_writeback_cycles = -1", 6},
+      {"ctx_writeback_cycles = 5000", "ctx_writeback_cycles = 9223372036854775000", 6},
+      {"ctx_invalidate_instructions = 5000",
+       "ctx_invalidate_instructions = 9223372036854775000", 5},
+      {"monitor_instructions = 128", "monitor_instructions = -1", 9},
+      {"cpu_freq_hz = 200000000", "cpu_freq_hz = 200000000\ncpi_milli = 0", 5},
+      {"c_top_us = 5", "c_top_us = -5", 31},
+      {"c_bottom_us = 40", "c_bottom_us = -40", 32},
+      {"c_bottom_us = 40", "c_bottom_us = 9223372036854775", 32},
+      {"c_bottom_us = 40", "c_bottom_us = 9300000000000000", 32},
+  };
+  for (const auto& m : kMutations) {
+    std::string text = kBaselineConfig;
+    text.replace(text.find(m.from), std::string(m.from).size(), m.to);
+    std::istringstream is(text);
+    try {
+      (void)load_config(is);
+      ADD_FAILURE() << "expected ConfigError for '" << m.to << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(e.line(), m.line) << m.to << ": " << e.what();
+    }
+  }
 }
 
 TEST(ConfigLoaderTest, RejectsSemanticallyInvalid) {

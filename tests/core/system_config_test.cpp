@@ -28,7 +28,7 @@ TEST(SystemConfigTest, PaperPlatformDefaults) {
   EXPECT_EQ(cfg.overheads.monitor_instructions, 128u);
   EXPECT_EQ(cfg.overheads.sched_manipulation_instructions, 877u);
   EXPECT_EQ(cfg.platform.ctx_invalidate_instructions, 5000u);
-  EXPECT_EQ(cfg.platform.ctx_writeback_cycles, 5000u);
+  EXPECT_EQ(cfg.platform.ctx_writeback_cycles, hw::Cycles{5000});
 }
 
 TEST(SystemConfigTest, TdmaCycleSumsArbitrarySlots) {

@@ -92,6 +92,17 @@ TEST(FaultPlanTest, UnknownKeyForKindReportsLine) {
 TEST(FaultPlanTest, MalformedNumberReportsLine) {
   EXPECT_THROW(parse("[flood]\ncount = many\ndistance_us = 1\n"),
                FaultPlanError);
+  // Lengths past the simulated time range are malformed too.
+  for (const char* text : {"[flood]\ncount = 1\ndistance_us = 9300000000000000\n",
+                           "[flood]\ncount = 1\ndistance_us = 1\nstart_ms = 99999999999999\n",
+                           "[campaign]\nhorizon_s = 9300000000000000\n"}) {
+    try {
+      parse(text);
+      FAIL() << "expected FaultPlanError for " << text;
+    } catch (const FaultPlanError& e) {
+      EXPECT_NE(std::string(e.what()).find("overflows simulated time"), std::string::npos);
+    }
+  }
 }
 
 TEST(FaultPlanTest, KeyOutsideAnySectionIsAnError) {

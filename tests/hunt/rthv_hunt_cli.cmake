@@ -1,8 +1,9 @@
 # CLI contract of rthv_hunt, run by ctest (rthv_hunt_cli, label hunt):
 #  - `--baseline --weaken 4 --seed 7` prints the same report and writes the
 #    same reproducer plan at --jobs 1 and at --jobs 4;
-#  - malformed --jobs/--generations/--population values print the usage
-#    text and exit 2.
+#  - malformed --jobs/--generations/--population values and out-of-range
+#    --horizon-ms/--fork-ms/--fork-slot/--event-budget values print the
+#    usage text and exit 2.
 #
 # usage: cmake -DRTHV_HUNT=<rthv_hunt> -DWORK_DIR=<scratch dir> -P rthv_hunt_cli.cmake
 foreach(var RTHV_HUNT WORK_DIR)
@@ -40,7 +41,9 @@ endforeach()
 
 foreach(bad "--jobs;0" "--jobs;-1" "--jobs;abc" "--generations;0"
             "--generations;-1" "--generations;abc" "--population;0"
-            "--population;-1" "--population;abc" "--population;4294967296")
+            "--population;-1" "--population;abc" "--population;4294967296"
+            "--horizon-ms;99999999999999" "--fork-ms;99999999999999"
+            "--fork-slot;-1" "--event-budget;-1")
   execute_process(
     COMMAND ${RTHV_HUNT} --baseline ${bad}
     RESULT_VARIABLE status OUTPUT_QUIET ERROR_VARIABLE stderr)

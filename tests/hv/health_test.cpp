@@ -87,7 +87,7 @@ class HealthEndToEndTest : public ::testing::Test {
   static hw::PlatformConfig platform_config() {
     hw::PlatformConfig cfg;
     cfg.ctx_invalidate_instructions = 1000;
-    cfg.ctx_writeback_cycles = 1000;
+    cfg.ctx_writeback_cycles = hw::Cycles{1000};
     return cfg;
   }
   static OverheadConfig overheads() {

@@ -24,7 +24,7 @@ using sim::TimePoint;
 hw::PlatformConfig test_platform_config() {
   hw::PlatformConfig cfg;
   cfg.ctx_invalidate_instructions = 1000;
-  cfg.ctx_writeback_cycles = 1000;
+  cfg.ctx_writeback_cycles = hw::Cycles{1000};
   return cfg;
 }
 

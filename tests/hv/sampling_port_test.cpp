@@ -62,7 +62,7 @@ TEST(SamplingPortHypercallTest, WriterPartitionStampedThroughHypervisor) {
   sim::Simulator sim;
   hw::PlatformConfig pc;
   pc.ctx_invalidate_instructions = 1000;
-  pc.ctx_writeback_cycles = 1000;
+  pc.ctx_writeback_cycles = hw::Cycles{1000};
   hw::Platform platform(sim, pc);
   Hypervisor hv(platform);
   const auto p0 = hv.add_partition("writer");

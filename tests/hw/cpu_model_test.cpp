@@ -2,17 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace rthv::hw {
 namespace {
 
 using sim::Duration;
 
+// Cycles and instruction counts are different quantities: neither converts
+// to the other implicitly.
+static_assert(!std::is_convertible_v<std::uint64_t, Cycles>);
+static_assert(!std::is_convertible_v<Cycles, std::uint64_t>);
+static_assert(std::is_trivially_copyable_v<Cycles>);
+
 TEST(CpuModelTest, DefaultIsPaperPlatform) {
   CpuModel cpu;
   EXPECT_EQ(cpu.frequency_hz(), 200'000'000u);
   // 1 cycle = 5 ns at 200 MHz.
-  EXPECT_EQ(cpu.cycles_to_duration(1), Duration::ns(5));
-  EXPECT_EQ(cpu.cycles_to_duration(200'000'000), Duration::s(1));
+  EXPECT_EQ(cpu.cycles_to_duration(Cycles{1}), Duration::ns(5));
+  EXPECT_EQ(cpu.cycles_to_duration(Cycles{200'000'000}), Duration::s(1));
 }
 
 TEST(CpuModelTest, PaperOverheadBudgetsConvert) {
@@ -21,45 +29,45 @@ TEST(CpuModelTest, PaperOverheadBudgetsConvert) {
   // context switch 5000 instr + 5000 cycles -> 25 us + 25 us = 50 us.
   EXPECT_EQ(cpu.instructions_to_duration(128), Duration::ns(640));
   EXPECT_EQ(cpu.instructions_to_duration(877), Duration::ns(4385));
-  EXPECT_EQ(cpu.instructions_to_duration(5000) + cpu.cycles_to_duration(5000),
+  EXPECT_EQ(cpu.instructions_to_duration(5000) + cpu.cycles_to_duration(Cycles{5000}),
             Duration::us(50));
 }
 
 TEST(CpuModelTest, CpiScalesInstructionTime) {
   CpuModel cpu(200'000'000, 1500);  // 1.5 cycles per instruction
-  EXPECT_EQ(cpu.instructions_to_duration(1000), cpu.cycles_to_duration(1500));
+  EXPECT_EQ(cpu.instructions_to_duration(1000), cpu.cycles_to_duration(Cycles{1500}));
 }
 
 TEST(CpuModelTest, DurationToCyclesRoundTrip) {
   CpuModel cpu;
-  EXPECT_EQ(cpu.duration_to_cycles(Duration::us(1)), 200u);
-  EXPECT_EQ(cpu.duration_to_cycles(cpu.cycles_to_duration(12345)), 12345u);
+  EXPECT_EQ(cpu.duration_to_cycles(Duration::us(1)), Cycles{200});
+  EXPECT_EQ(cpu.duration_to_cycles(cpu.cycles_to_duration(Cycles{12345})), Cycles{12345});
 }
 
 TEST(CpuModelTest, OtherFrequencies) {
   CpuModel ghz(1'000'000'000);
-  EXPECT_EQ(ghz.cycles_to_duration(1), Duration::ns(1));
+  EXPECT_EQ(ghz.cycles_to_duration(Cycles{1}), Duration::ns(1));
   CpuModel mhz100(100'000'000);
-  EXPECT_EQ(mhz100.cycles_to_duration(1), Duration::ns(10));
+  EXPECT_EQ(mhz100.cycles_to_duration(Cycles{1}), Duration::ns(10));
 }
 
 TEST(CpuModelTest, AccountingAccumulatesPerCategory) {
   CpuModel cpu;
-  cpu.retire_cycles(WorkCategory::kTopHandler, 100);
-  cpu.retire_cycles(WorkCategory::kTopHandler, 50);
+  cpu.retire_cycles(WorkCategory::kTopHandler, Cycles{100});
+  cpu.retire_cycles(WorkCategory::kTopHandler, Cycles{50});
   cpu.retire_instructions(WorkCategory::kMonitor, 128);
   cpu.retire_duration(WorkCategory::kGuest, Duration::us(1));
-  EXPECT_EQ(cpu.cycles_in(WorkCategory::kTopHandler), 150u);
-  EXPECT_EQ(cpu.cycles_in(WorkCategory::kMonitor), 128u);
-  EXPECT_EQ(cpu.cycles_in(WorkCategory::kGuest), 200u);
-  EXPECT_EQ(cpu.total_cycles(), 150u + 128u + 200u);
+  EXPECT_EQ(cpu.cycles_in(WorkCategory::kTopHandler), Cycles{150});
+  EXPECT_EQ(cpu.cycles_in(WorkCategory::kMonitor), Cycles{128});
+  EXPECT_EQ(cpu.cycles_in(WorkCategory::kGuest), Cycles{200});
+  EXPECT_EQ(cpu.total_cycles(), Cycles{150 + 128 + 200});
 }
 
 TEST(CpuModelTest, ResetAccountingClearsAll) {
   CpuModel cpu;
-  cpu.retire_cycles(WorkCategory::kIdle, 10);
+  cpu.retire_cycles(WorkCategory::kIdle, Cycles{10});
   cpu.reset_accounting();
-  EXPECT_EQ(cpu.total_cycles(), 0u);
+  EXPECT_EQ(cpu.total_cycles(), Cycles{});
 }
 
 TEST(CpuModelTest, CategoryNames) {

@@ -5,29 +5,14 @@
 namespace rthv::hw {
 namespace {
 
-TEST(MemorySystemTest, DefaultsMatchPaper) {
-  MemorySystem mem;
-  const auto cost = mem.context_switch_cost();
-  EXPECT_EQ(cost.invalidate_instructions, 5000u);
-  EXPECT_EQ(cost.writeback_cycles, 5000u);
-}
-
-TEST(MemorySystemTest, Configurable) {
-  MemorySystem mem(100, 200);
-  EXPECT_EQ(mem.context_switch_cost().invalidate_instructions, 100u);
-  EXPECT_EQ(mem.context_switch_cost().writeback_cycles, 200u);
-  mem.set_invalidate_instructions(7);
-  mem.set_writeback_cycles(8);
-  EXPECT_EQ(mem.context_switch_cost().invalidate_instructions, 7u);
-  EXPECT_EQ(mem.context_switch_cost().writeback_cycles, 8u);
-}
-
 TEST(PlatformTest, DefaultConfigIsPaperPlatform) {
   sim::Simulator s;
   Platform p(s);
   EXPECT_EQ(p.cpu().frequency_hz(), 200'000'000u);
   EXPECT_EQ(p.intc().num_lines(), 32u);
-  EXPECT_EQ(p.memory().context_switch_cost().invalidate_instructions, 5000u);
+  // Section 6.2: ~5000 instructions + ~5000 writeback cycles per switch.
+  EXPECT_EQ(p.config().ctx_invalidate_instructions, 5000u);
+  EXPECT_EQ(p.config().ctx_writeback_cycles, Cycles{5000});
 }
 
 TEST(PlatformTest, AddTimerBindsLineAndSimulator) {
@@ -56,11 +41,11 @@ TEST(PlatformTest, CustomConfig) {
   PlatformConfig cfg;
   cfg.cpu_freq_hz = 1'000'000'000;
   cfg.num_irq_lines = 8;
-  cfg.ctx_writeback_cycles = 123;
+  cfg.ctx_writeback_cycles = Cycles{123};
   Platform p(s, cfg);
   EXPECT_EQ(p.cpu().frequency_hz(), 1'000'000'000u);
   EXPECT_EQ(p.intc().num_lines(), 8u);
-  EXPECT_EQ(p.memory().context_switch_cost().writeback_cycles, 123u);
+  EXPECT_EQ(p.config().ctx_writeback_cycles, Cycles{123});
 }
 
 }  // namespace

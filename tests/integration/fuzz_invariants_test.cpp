@@ -120,8 +120,8 @@ TEST_P(FuzzInvariantsTest, RandomSystemHoldsInvariants) {
 
   // --- invariant 4: time accounting -------------------------------------------
   const auto& cpu = system.platform().cpu();
-  const std::uint64_t elapsed_cycles = cpu.duration_to_cycles(elapsed);
-  EXPECT_LE(cpu.total_cycles(), elapsed_cycles + 1);
+  const hw::Cycles elapsed_cycles = cpu.duration_to_cycles(elapsed);
+  EXPECT_LE(cpu.total_cycles(), elapsed_cycles + hw::Cycles{1});
   Duration partition_time = Duration::zero();
   for (std::uint32_t p = 0; p < num_partitions; ++p) {
     partition_time += system.hypervisor().partition(p).guest_time() +

@@ -5,6 +5,7 @@
 // interference at all -- only top handlers do.
 #include <gtest/gtest.h>
 
+#include "core/checked.hpp"
 #include "core/hypervisor_system.hpp"
 #include "workload/generators.hpp"
 
@@ -65,7 +66,7 @@ TEST(IndependenceTest, MonitoredInterferenceWithinEq14Bound) {
   const Duration window = Duration::ms(500);
   const Duration c_bh_eff = Duration::ns(144'385);
   const std::int64_t victim_share_admissions =
-      sim::Duration::ceil_div(window, d_min) * 6 / 14 + 1;
+      core::ceil_div(window, d_min) * 6 / 14 + 1;
   const Duration interpose_bound = c_bh_eff * victim_share_admissions;
   const Duration top_bound = Duration::ns(5'640) * 900;
   EXPECT_LE(idle - loaded, interpose_bound + top_bound);
@@ -141,7 +142,7 @@ TEST(IndependenceTest, AdversarialTraceApproachesEq14Bound) {
   // Upper bound (Eq. 14 over the victim's slots + top handlers everywhere).
   const Duration c_bh_eff = Duration::ns(144'385);
   const std::int64_t admissions_cap =
-      sim::Duration::ceil_div(Duration::ms(500), d_min) + 1;
+      core::ceil_div(Duration::ms(500), d_min) + 1;
   const Duration upper = c_bh_eff * admissions_cap + Duration::ns(5'640) * 900;
   EXPECT_LE(loss, upper);
   // Tightness: the victim owns 6/14 of the timeline, so roughly that share

@@ -22,11 +22,8 @@ struct ScenarioResult {
 };
 
 Duration effective_bottom(const SystemConfig& cfg) {
-  const hw::CpuModel cpu(cfg.platform.cpu_freq_hz, cfg.platform.cpi_milli);
-  const hw::MemorySystem mem(cfg.platform.ctx_invalidate_instructions,
-                             cfg.platform.ctx_writeback_cycles);
-  const hv::OverheadModel oh(cpu, mem, cfg.overheads);
-  return oh.effective_bottom_cost(cfg.sources[0].c_bottom);
+  return hv::OverheadModel(cfg.platform, cfg.overheads)
+      .effective_bottom_cost(cfg.sources[0].c_bottom);
 }
 
 ScenarioResult run_scenario(bool monitored, bool conforming, std::size_t irqs,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checked.hpp"
 #include "sim/random.hpp"
 
 namespace rthv::mon {
@@ -102,7 +103,7 @@ TEST_P(BucketInterferenceBoundTest, AdmissionsPerWindowWithinBound) {
   // Check the bound over sliding windows of several sizes.
   for (const std::int64_t win_us : {100, 500, 2000}) {
     const Duration win = Duration::us(win_us);
-    const auto bound = static_cast<std::size_t>(depth + Duration::ceil_div(win, interval));
+    const auto bound = static_cast<std::size_t>(depth + core::ceil_div(win, interval));
     for (std::size_t i = 0; i < admitted.size(); ++i) {
       std::size_t count = 0;
       for (std::size_t j = i; j < admitted.size() && admitted[j] - admitted[i] < win; ++j) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+
+#include "core/checked.hpp"
 
 namespace rthv::sim {
 namespace {
@@ -53,9 +56,20 @@ TEST(DurationTest, DivisionAndModulo) {
 }
 
 TEST(DurationTest, CeilDiv) {
-  EXPECT_EQ(Duration::ceil_div(10_us, 3_us), 4);
-  EXPECT_EQ(Duration::ceil_div(9_us, 3_us), 3);
-  EXPECT_EQ(Duration::ceil_div(1_ns, 3_us), 1);
+  EXPECT_EQ(core::ceil_div(10_us, 3_us), 4);
+  EXPECT_EQ(core::ceil_div(9_us, 3_us), 3);
+  EXPECT_EQ(core::ceil_div(1_ns, 3_us), 1);
+  EXPECT_EQ(core::ceil_div(Duration::ns(-3), 3_ns), -1);
+  EXPECT_EQ(core::ceil_div(Duration::max(), 3_ns), INT64_MAX / 3 + 1);
+}
+
+TEST(DurationTest, UnitFactoriesThrowOnOverflow) {
+  EXPECT_EQ(Duration::us(INT64_MAX / 1000), Duration::ns(INT64_MAX / 1000 * 1000));
+  EXPECT_THROW((void)Duration::us(INT64_MAX / 1000 + 1), std::overflow_error);
+  EXPECT_THROW((void)Duration::ms(99'999'999'999'999), std::overflow_error);
+  EXPECT_THROW((void)Duration::s(-10'000'000'000), std::overflow_error);
+  EXPECT_THROW((void)TimePoint::at_us(9'300'000'000'000'000), std::overflow_error);
+  static_assert(Duration::ms(100).count_ns() == 100'000'000);  // still constexpr
 }
 
 TEST(DurationTest, SignPredicates) {

@@ -29,7 +29,9 @@
 //   --repro-out FILE       write the minimized reproducer plan
 //
 // A malformed --jobs/--generations/--population value (zero, negative,
-// non-numeric, too large) prints the usage text and exits 2.
+// non-numeric, too large), or a negative, non-numeric or out-of-range
+// --seed/--horizon-ms/--fork-ms/--fork-slot/--fork-depth/--event-budget
+// value (a zero horizon included), prints the usage text and exits 2.
 //
 // Every finding is replayed standalone (fresh system, reproducer armed at
 // t=0) before it is reported; a finding that fails to replay is a bug in
@@ -75,6 +77,20 @@ std::int64_t parse_int(const char* flag, const char* value) {
     std::exit(2);
   }
 }
+
+/// A decimal integer flag value in [min, max]; usage + exit 2 otherwise.
+std::uint64_t require_uint(const char* value, std::uint64_t min = 0,
+                           std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const auto n = exp::parse_uint(value, min, max);
+  if (!n) {
+    usage();
+    std::exit(2);
+  }
+  return *n;
+}
+
+/// Milliseconds that still fit the nanosecond timeline.
+constexpr std::uint64_t kMaxMs = std::numeric_limits<std::int64_t>::max() / 1'000'000;
 
 /// A positive count that fits in 32 bits; usage + exit 2 otherwise.
 std::uint32_t require_count(std::optional<std::size_t> value) {
@@ -127,7 +143,7 @@ int main(int argc, char** argv) {
       };
       if (std::strcmp(argv[i], "--seed") == 0) {
         need(1);
-        hunt.seed = static_cast<std::uint64_t>(parse_int("--seed", argv[++i]));
+        hunt.seed = require_uint(argv[++i]);
       } else if (std::strcmp(argv[i], "--jobs") == 0) {
         need(1);
         hunt.jobs = require_count(exp::parse_jobs(argv[++i]));
@@ -139,23 +155,22 @@ int main(int argc, char** argv) {
         hunt.population = require_count(exp::parse_count(argv[++i]));
       } else if (std::strcmp(argv[i], "--horizon-ms") == 0) {
         need(1);
-        hunt.horizon = Duration::ms(parse_int("--horizon-ms", argv[++i]));
+        const auto ms = static_cast<std::int64_t>(require_uint(argv[++i], 1, kMaxMs));
+        hunt.horizon = Duration::ms(ms);
       } else if (std::strcmp(argv[i], "--fork-ms") == 0) {
         need(1);
         hunt.fork.kind = fault::HuntForkPoint::Kind::kTime;
-        hunt.fork.time =
-            TimePoint::at_us(parse_int("--fork-ms", argv[++i]) * 1000);
+        const auto ms = static_cast<std::int64_t>(require_uint(argv[++i], 0, kMaxMs));
+        hunt.fork.time = TimePoint::origin() + Duration::ms(ms);
       } else if (std::strcmp(argv[i], "--fork-slot") == 0) {
         need(1);
         hunt.fork.kind = fault::HuntForkPoint::Kind::kSlotBoundary;
-        hunt.fork.boundary =
-            static_cast<std::uint64_t>(parse_int("--fork-slot", argv[++i]));
+        hunt.fork.boundary = require_uint(argv[++i]);
       } else if (std::strcmp(argv[i], "--fork-depth") == 0) {
         need(1);
         hunt.fork.kind = fault::HuntForkPoint::Kind::kMonitorDepth;
         hunt.fork.source = 0;
-        hunt.fork.depth =
-            static_cast<std::uint64_t>(parse_int("--fork-depth", argv[++i]));
+        hunt.fork.depth = require_uint(argv[++i]);
       } else if (std::strcmp(argv[i], "--weaken") == 0) {
         need(1);
         weaken_divisor = parse_int("--weaken", argv[++i]);
@@ -171,8 +186,7 @@ int main(int argc, char** argv) {
         exp_count = parse_int("--exp", argv[++i]);
       } else if (std::strcmp(argv[i], "--event-budget") == 0) {
         need(1);
-        hunt.event_budget =
-            static_cast<std::uint64_t>(parse_int("--event-budget", argv[++i]));
+        hunt.event_budget = require_uint(argv[++i]);
       } else if (std::strcmp(argv[i], "--latency-us") == 0) {
         need(1);
         hunt.latency_threshold = Duration::us(parse_int("--latency-us", argv[++i]));

@@ -8,7 +8,5 @@ Duration interference(Duration dt, Duration d_min, Duration cost) {
   Duration twice = cost * 2;                       // rthv-lint-expect: checked-arith
   Duration sum = twice + dt;                       // rthv-lint-expect: checked-arith
   Duration acc = sum; acc += d_min;                // rthv-lint-expect: checked-arith
-  const auto n = Duration::ceil_div(dt, d_min);    // rthv-lint-expect: checked-arith
-  (void)n;
   return sum;
 }

@@ -268,17 +268,9 @@ class OutOfLineTest(unittest.TestCase):
                     if t.kind == "id"]
         self.assertIn("v_", body_ids)
 
-    def test_signatures_collect_param_names(self):
-        m = parse("""
-        void arm_timer(std::int64_t deadline_ns);
-        void arm_timer(std::int64_t deadline_ns, bool periodic);
-        """)
-        self.assertEqual(m.signatures["arm_timer"],
-                         [["deadline_ns"], ["deadline_ns", "periodic"]])
-
     def test_default_arguments_do_not_shift_param_names(self):
-        m = parse("void f(int a = compute(3, 4), long tail_ns = 0);")
-        self.assertEqual(m.signatures["f"], [["a", "tail_ns"]])
+        m = parse("struct S { void f(int a = compute(3, 4), long tail_ns = 0); };")
+        self.assertEqual(only_class(m, "S").methods["f"].params, ["a", "tail_ns"])
 
 
 class StripTest(unittest.TestCase):
@@ -293,17 +285,6 @@ class StripTest(unittest.TestCase):
         stripped = rthv_lint.strip_comments_and_strings(text)
         self.assertEqual(len(stripped.splitlines()), len(text.splitlines()))
         self.assertNotIn("b_", stripped)
-
-
-class UnitHelpersTest(unittest.TestCase):
-    def test_unit_of(self):
-        self.assertEqual(rthv_lint.unit_of("deadline_ns"), "ns")
-        self.assertEqual(rthv_lint.unit_of("budget_ticks"), "ticks")
-        self.assertEqual(rthv_lint.unit_of("cost_cycles"), "cycles")
-        self.assertEqual(rthv_lint.unit_of("ns"), "ns")
-        self.assertIsNone(rthv_lint.unit_of("nanoseconds"))
-        self.assertIsNone(rthv_lint.unit_of("bins"))  # no _ns suffix match
-        self.assertIsNone(rthv_lint.unit_of("count"))
 
 
 if __name__ == "__main__":

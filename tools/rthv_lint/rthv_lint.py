@@ -21,12 +21,9 @@ Two layers:
                        the simulator hot paths, the checkpoint/snapshot
                        path, the per-burst interconnect accounting, and
                        the pooled campaign recycle loop.
-  trace-registered-id  Every obs::TracePoint::kX referenced anywhere must
-                       be an enumerator registered in
-                       src/obs/trace_event.hpp.
-  checked-arith        No raw '+' / '*' / '+=' / '*=' / Duration::ceil_div
-                       on Duration/TimePoint quantities inside
-                       src/analysis/; use core/checked.hpp.
+  checked-arith        No raw '+' / '*' / '+=' / '*=' on Duration/TimePoint
+                       quantities inside src/analysis/; use
+                       core/checked.hpp.
   banned-include       <chrono> banned in deterministic layers, <iostream>
                        and <immintrin.h> banned in library code.
   header-hygiene       Headers start with #pragma once (or a guard) and
@@ -40,7 +37,7 @@ Two layers:
   Semantic layer (a tokenizer plus a lightweight C++ declaration parser
   build a per-class model -- data members, bases, member-function bodies,
   including out-of-line definitions -- for every class in the scanned
-  tree; free-function/method signatures are collected for call checking):
+  tree):
 
   snapshot-coverage    Any class defining the checkpoint visitor
                        `template <class Ar> void state(Ar&)` (same-class
@@ -67,13 +64,11 @@ Two layers:
                        result-affecting code: iteration order is address
                        order, which ASLR re-rolls every run. Part of the
                        determinism family.
-  unit-mismatch        A call site must not pass a *_ticks / *_cycles /
-                       *_ns / *_us / *_ms-suffixed expression to a
-                       parameter whose name carries a different unit
-                       suffix. Conversion helpers defined in
-                       core/checked.hpp are exempt, and routing through a
-                       *_to_<unit>() / count_<unit>() helper resolves the
-                       expression to the target unit.
+
+  The compiler enforces the rest: simulated time and CPU cycles are the
+  strong types sim::Duration / sim::TimePoint and hw::Cycles (a bare
+  integer budget means instructions), and trace ids are the enum class
+  obs::TracePoint.
 
 Waivers: a comment `rthv-lint: allow(rule-id)` (comma-separated list, or
 `allow(*)`) on the offending line or the line directly above suppresses the
@@ -84,7 +79,7 @@ Waivers are deliberate, reviewable markers -- prefer fixing the code.
 
 Self-test: `rthv_lint.py --self-test` scans every fixture tree under
 tools/rthv_lint/fixtures/ (the top-level src/ plus one tree per semantic
-rule family: snapshot/, determinism/, units/), where each intentional
+rule family: snapshot/, determinism/), where each intentional
 violation is annotated with a `rthv-lint-expect: rule-id` comment, and
 verifies the reported (file, line, rule) set matches the annotations
 exactly. The total expected-finding count must also equal the committed
@@ -370,18 +365,7 @@ class FileModel:
     relpath: str
     classes: list[ClassModel] = field(default_factory=list)
     out_of_line: list[OutOfLineDef] = field(default_factory=list)
-    # function/method name -> list of parameter-name lists (overload set)
-    signatures: dict[str, list[list[str]]] = field(default_factory=dict)
-    # bodies to scan for call sites: (enclosing name, tokens)
-    bodies: list[tuple[str, list[Tok]]] = field(default_factory=list)
 
-
-_KEYWORDS_NOT_CALLS = {
-    "if", "for", "while", "switch", "return", "sizeof", "alignof", "alignas",
-    "static_cast", "dynamic_cast", "const_cast", "reinterpret_cast", "throw",
-    "new", "delete", "catch", "noexcept", "decltype", "assert", "defined",
-    "static_assert", "co_await", "co_return", "co_yield", "requires",
-}
 
 _DECL_SPECIFIERS = {
     "static", "mutable", "constexpr", "const", "inline", "extern", "thread_local",
@@ -393,8 +377,8 @@ _CONDITIONAL_PP = {"if", "ifdef", "ifndef"}
 
 
 class DeclParser:
-    """Builds per-class models (members, bases, method bodies) and a
-    signature table from one file's token stream.
+    """Builds per-class models (members, bases, method bodies) from one
+    file's token stream.
 
     Deliberately lightweight: brace/angle tracking plus a handful of
     statement-shape heuristics that cover the repo's real C++ (nested
@@ -752,8 +736,6 @@ class DeclParser:
                 self.model.out_of_line.append(OutOfLineDef(
                     class_name=owner, method=name, relpath=self.relpath,
                     line=line, body=body, params=params))
-                self.model.signatures.setdefault(name, []).append(params)
-                self.model.bodies.append((f"{owner}::{name}", body))
                 return
         if cls is not None:
             if name == cls.name or name.startswith("~"):
@@ -763,13 +745,6 @@ class DeclParser:
             if name not in cls.methods or cls.methods[name].body is None:
                 cls.methods[name] = Method(name=name, line=line,
                                            body=body or None, params=params)
-            self.model.signatures.setdefault(name, []).append(params)
-            if body:
-                self.model.bodies.append((f"{cls.qual}::{name}", body))
-        else:
-            self.model.signatures.setdefault(name, []).append(params)
-            if body:
-                self.model.bodies.append((name, body))
 
     def _record_statement(self, toks: list[Tok], paren_at: Optional[int],
                           line: int, ns: list[str], cls: Optional[ClassModel],
@@ -878,17 +853,11 @@ class DeclParser:
 class ProgramModel:
     files: dict[str, FileModel] = field(default_factory=dict)
     classes_by_name: dict[str, list[ClassModel]] = field(default_factory=dict)
-    signatures: dict[str, list[list[str]]] = field(default_factory=dict)
-    conversion_exempt: set[str] = field(default_factory=set)
 
     def add(self, fm: FileModel) -> None:
         self.files[fm.relpath] = fm
         for c in fm.classes:
             self.classes_by_name.setdefault(c.name, []).append(c)
-        for name, sigs in fm.signatures.items():
-            self.signatures.setdefault(name, []).extend(sigs)
-        if fm.relpath.endswith("core/checked.hpp"):
-            self.conversion_exempt.update(fm.signatures.keys())
 
     def link(self) -> None:
         """Attaches out-of-line method definitions to their class models."""
@@ -943,7 +912,6 @@ def program_rule(rule_id: str, description: str):
 @dataclass
 class LintContext:
     root: str
-    trace_points: set[str]  # registered TracePoint enumerators
     program: ProgramModel
     sources: dict[str, SourceFile]
 
@@ -1042,31 +1010,11 @@ def check_hot_alloc(src: SourceFile, ctx: LintContext):
                 "pooled storage, or waive growth paths explicitly")
 
 
-TRACE_POINT_USE = re.compile(r"\bTracePoint::(k\w+)")
-TRACE_ENUM_FILE = "src/obs/trace_event.hpp"
-
-
-@rule("trace-registered-id",
-      "TracePoint ids must be registered in src/obs/trace_event.hpp")
-def check_trace_ids(src: SourceFile, ctx: LintContext):
-    if src.relpath.replace(os.sep, "/") == TRACE_ENUM_FILE:
-        return
-    for lineno, line in enumerate(src.code_lines, 1):
-        for m in TRACE_POINT_USE.finditer(line):
-            if m.group(1) not in ctx.trace_points:
-                yield Violation(
-                    src.relpath, lineno, "trace-registered-id",
-                    f"TracePoint::{m.group(1)} is not registered in "
-                    f"{TRACE_ENUM_FILE}; unregistered ids break the trace "
-                    "format and its exporters")
-
-
 # A binary + or * (or compound +=, *=) between word/paren operands. Unary
 # deref/pointers (`*w`, `(*f)(q)`) and increments (`i++`) do not match.
 BINARY_ADD_MUL = re.compile(r"[\w\)\]]\s*(?:\+(?![+=])|\*(?![=*/]))\s*[\w\(]")
 COMPOUND_ADD_MUL = re.compile(r"[\w\)\]]\s*[+*]=")
 TICK_TYPES = re.compile(r"\b(?:Duration|TimePoint)\b|\bcount_ns\s*\(")
-RAW_CEIL_DIV = re.compile(r"\bDuration::ceil_div\b")
 
 
 @rule("checked-arith",
@@ -1075,12 +1023,6 @@ def check_checked_arith(src: SourceFile, ctx: LintContext):
     if not _in(src.relpath, "src/analysis/"):
         return
     for lineno, line in enumerate(src.code_lines, 1):
-        if RAW_CEIL_DIV.search(line):
-            yield Violation(
-                src.relpath, lineno, "checked-arith",
-                "sim::Duration::ceil_div wraps near INT64_MAX; use "
-                "core::ceil_div from core/checked.hpp")
-            continue
         if not TICK_TYPES.search(line):
             continue
         if BINARY_ADD_MUL.search(line) or COMPOUND_ADD_MUL.search(line):
@@ -1465,151 +1407,8 @@ def check_pointer_keyed(ctx: LintContext):
 
 
 # ---------------------------------------------------------------------------
-# Semantic rule: unit safety at call sites
-# ---------------------------------------------------------------------------
-
-UNIT_SUFFIXES = ("ns", "us", "ms", "ticks", "cycles")
-_UNIT_RE = re.compile(r"(?:^|_)(" + "|".join(UNIT_SUFFIXES) + r")$")
-
-
-def unit_of(name: str) -> Optional[str]:
-    m = _UNIT_RE.search(name)
-    return m.group(1) if m else None
-
-
-def _arg_unit(arg: list[Tok], exempt: set[str]) -> Optional[str]:
-    """Unit of an argument expression.
-
-    A trailing call `helper(...)` resolves to the helper's suffix unit --
-    so `to_ns(x_ticks)` and `t.count_ns()` read as ns -- and a helper from
-    core/checked.hpp (or any unsuffixed helper) is 'unknown', never flagged.
-    Otherwise the last identifier's suffix decides.
-    """
-    if not arg:
-        return None
-    if arg[-1].kind == "punct" and arg[-1].text == ")":
-        depth = 0
-        for k in range(len(arg) - 1, -1, -1):
-            t = arg[k]
-            if t.kind == "punct" and t.text == ")":
-                depth += 1
-            elif t.kind == "punct" and t.text == "(":
-                depth -= 1
-                if depth == 0:
-                    if k >= 1 and arg[k - 1].kind == "id":
-                        head = arg[k - 1].text
-                        if head in exempt:
-                            return None
-                        return unit_of(head)
-                    return None
-        return None
-    ids = [t.text for t in arg if t.kind == "id"]
-    if not ids:
-        return None
-    return unit_of(ids[-1])
-
-
-def _split_call_args(toks: list[Tok], open_idx: int) -> tuple[list[list[Tok]], int]:
-    """Splits the argument list starting at toks[open_idx] == '(' into
-    per-argument token runs. Returns (args, index past ')')."""
-    args: list[list[Tok]] = [[]]
-    depth_p = 0
-    depth_a = 0
-    j = open_idx
-    n = len(toks)
-    while j < n:
-        t = toks[j]
-        if t.kind == "punct":
-            if t.text == "(":
-                depth_p += 1
-                if depth_p == 1:
-                    j += 1
-                    continue
-            elif t.text == ")":
-                depth_p -= 1
-                if depth_p == 0:
-                    return ([a for a in args if a] if args != [[]] else [],
-                            j + 1)
-            elif t.text == "<":
-                depth_a += 1
-            elif t.text in (">", ">>"):
-                depth_a = max(0, depth_a - (2 if t.text == ">>" else 1))
-            elif t.text == "," and depth_p == 1 and depth_a == 0:
-                args.append([])
-                j += 1
-                continue
-            elif t.text in (";", "{", "}"):
-                break
-        args[-1].append(t)
-        j += 1
-    return [], j
-
-
-@program_rule("unit-mismatch",
-              "call sites must not pass a *_ticks/_cycles/_ns/_us/_ms "
-              "expression to a parameter of a different unit")
-def check_unit_mismatch(ctx: LintContext):
-    sigs = ctx.program.signatures
-    exempt = ctx.program.conversion_exempt
-    for fm in ctx.program.files.values():
-        for _owner, body in fm.bodies:
-            n = len(body)
-            for i, t in enumerate(body):
-                if t.kind != "id" or t.text in _KEYWORDS_NOT_CALLS:
-                    continue
-                if i + 1 >= n or body[i + 1].text != "(":
-                    continue
-                callee = t.text
-                if callee in exempt or callee not in sigs:
-                    continue
-                args, _end = _split_call_args(body, i + 1)
-                if not args:
-                    continue
-                overloads = sigs[callee]
-                for ai, arg in enumerate(args):
-                    au = _arg_unit(arg, exempt)
-                    if au is None:
-                        continue
-                    # Every known overload must disagree for a finding: an
-                    # overload with a matching/unknown unit vetoes it.
-                    param_units: list[str] = []
-                    vetoed = False
-                    for ov in overloads:
-                        if ai >= len(ov) or not ov[ai]:
-                            vetoed = True
-                            break
-                        pu = unit_of(ov[ai])
-                        if pu is None or pu == au:
-                            vetoed = True
-                            break
-                        param_units.append(f"{ov[ai]} ({pu})")
-                    if vetoed or not param_units:
-                        continue
-                    arg_ids = [tk.text for tk in arg if tk.kind == "id"]
-                    expr = arg_ids[-1] if arg_ids else "<expr>"
-                    yield Violation(
-                        fm.relpath, arg[0].line, "unit-mismatch",
-                        f"'{expr}' carries unit '{au}' but parameter "
-                        f"{ai + 1} of {callee}() is {param_units[0]}; "
-                        "convert explicitly (core/checked.hpp helpers or a "
-                        "*_to_<unit>() function)")
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
-
-
-def parse_trace_points(root: str) -> set[str]:
-    path = os.path.join(root, TRACE_ENUM_FILE)
-    if not os.path.exists(path):
-        return set()
-    with open(path, encoding="utf-8") as f:
-        text = strip_comments_and_strings(f.read())
-    m = re.search(r"enum\s+class\s+TracePoint\s*:[^{]*\{(.*?)\}", text, re.S)
-    if not m:
-        return set()
-    return set(re.findall(r"\b(k\w+)\b", m.group(1)))
 
 
 def compile_db_files(root: str, db_path: str) -> list[str]:
@@ -1685,8 +1484,7 @@ def run_lint(root: str, subdirs: list[str],
     relpaths = list(iter_source_files(root, subdirs, compile_db))
     sources = {rp: load_source(root, rp) for rp in relpaths}
     program = parse_program(root, relpaths, sources)
-    ctx = LintContext(root=root, trace_points=parse_trace_points(root),
-                      program=program, sources=sources)
+    ctx = LintContext(root=root, program=program, sources=sources)
     active: list[Violation] = []
     waived: list[Violation] = []
     for relpath in relpaths:
